@@ -11,7 +11,7 @@
 //     observed accuracy-per-byte demand (traffic share x error boost x
 //     staleness) on the maintenance tick stream.
 //
-// Three exit-enforced gates:
+// Four exit-enforced gates:
 //
 //  1. Accuracy: the governed catalog's aggregate windowed NAE (traffic-
 //     weighted, measured over the serving phase) must beat equal_split.
@@ -29,6 +29,12 @@
 //     per-op share must stay under 2%. Both sides of the ratio scale
 //     linearly with the fleet, so the verdict holds from 256 models to
 //     10k.
+//  4. Lookup at fleet scale: a catalog predict over the whole fleet
+//     (Zipf ranks mapped to entries through a seeded permutation, so hot
+//     models sit anywhere in registration order) must cost within 1.5x of
+//     a predict on a one-model catalog. Median ratio of 7 back-to-back
+//     pairs, no maintenance ticks in either loop. What remains above 1x is
+//     the fleet's trees missing in cache, not the entry lookup.
 //
 // The accuracy phase itself runs an intentionally aggressive cadence (one
 // rebalance per 256 ops) so the allocation converges within the bench's op
@@ -101,14 +107,31 @@ Fleet MakeFleet(int models, int tenants, int64_t per_model_budget,
   return f;
 }
 
-// The op sequence both scenarios replay: Zipf-ranked model indices (model
-// i serves rank i+1, so low indices are hot).
-std::vector<uint32_t> MakeSequence(int models, double z, size_t ops,
-                                   uint64_t seed) {
-  ZipfDistribution zipf(models, z);
+// Seeded Fisher-Yates permutation of [0, n): which model serves which
+// Zipf rank. Fixed per fleet so every sequence agrees on the hot models.
+std::vector<uint32_t> RankPermutation(int n, uint64_t seed) {
+  std::vector<uint32_t> perm(static_cast<size_t>(n));
+  for (size_t i = 0; i < perm.size(); ++i) perm[i] = static_cast<uint32_t>(i);
+  Rng rng(seed);
+  for (size_t i = perm.size(); i > 1; --i) {
+    const auto j = static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(i) - 1));
+    std::swap(perm[i - 1], perm[j]);
+  }
+  return perm;
+}
+
+// The op sequence both scenarios replay: model indices drawn by Zipf rank
+// through `rank_to_model`, so the hot models are scattered over the
+// registration order instead of being the ones registered first.
+std::vector<uint32_t> MakeSequence(const std::vector<uint32_t>& rank_to_model,
+                                   double z, size_t ops, uint64_t seed) {
+  ZipfDistribution zipf(static_cast<int>(rank_to_model.size()), z);
   Rng rng(seed);
   std::vector<uint32_t> seq(ops);
-  for (uint32_t& s : seq) s = static_cast<uint32_t>(zipf.Sample(rng) - 1);
+  for (uint32_t& s : seq) {
+    s = rank_to_model[static_cast<size_t>(zipf.Sample(rng) - 1)];
+  }
   return seq;
 }
 
@@ -161,16 +184,17 @@ double PredictP99Ns(Fleet& f, const std::vector<uint32_t>& seq,
                                          0.99))];
 }
 
-// Timed predict-only pass with the maintenance tick stream running (the
-// overhead gate's unit of work). Returns ns per op.
+// Timed predict-only pass, with the maintenance tick stream running when
+// `tick` is set (the overhead gate's unit of work). Returns ns per op.
 double PredictLoopOnce(Fleet& f, const std::vector<uint32_t>& seq,
-                       const std::vector<Point>& points, size_t ops) {
+                       const std::vector<Point>& points, size_t ops,
+                       bool tick = true) {
   WallTimer timer;
   double sink = 0.0;
   for (size_t i = 0; i < ops; ++i) {
     CostedUdf* udf = f.udfs[seq[i % seq.size()]].get();
     sink += f.catalog->PredictCostMicros(udf, points[i & kPointMask]);
-    if (i % kOpsPerTick == 0) f.catalog->MaintenanceTick();
+    if (tick && i % kOpsPerTick == 0) f.catalog->MaintenanceTick();
   }
   KeepAlive(sink);
   return timer.ElapsedSeconds() * 1e9 / static_cast<double>(ops);
@@ -208,10 +232,12 @@ int Main(int argc, char** argv) {
               models, tenants, zipf_z,
               static_cast<long long>(global_budget));
 
+  const std::vector<uint32_t> rank_to_model =
+      RankPermutation(models, kSeed ^ 0x5EED);
   const std::vector<uint32_t> warm_seq =
-      MakeSequence(models, zipf_z, warm_ops, kSeed ^ 0xA11CE);
+      MakeSequence(rank_to_model, zipf_z, warm_ops, kSeed ^ 0xA11CE);
   const std::vector<uint32_t> measure_seq =
-      MakeSequence(models, zipf_z, measure_ops, kSeed ^ 0xB0B);
+      MakeSequence(rank_to_model, zipf_z, measure_ops, kSeed ^ 0xB0B);
   // Every synthetic surface shares the paper's model space, so one point
   // pool serves the whole fleet.
   const std::vector<Point> points = MakePaperWorkload(
@@ -291,6 +317,34 @@ int Main(int argc, char** argv) {
       rebalance_us * 1000.0 / (cadence_ops * detached_ns) * 100.0;
   const bool amortized_pass = amortized_pct < kBudgetPct;
 
+  // --- Gate 4: lookup cost at fleet scale. A one-model catalog with the
+  // same per-model budget, warmed to its budget on the same points, is the
+  // reference; the fleet side replays the permuted measure sequence on the
+  // equal-split catalog (whose budgets never moved). ---
+  Fleet single = MakeFleet(1, 1, per_model_budget, kSeed);
+  const std::vector<uint32_t> single_seq(warm_ops / 4, 0);
+  Serve(single, single_seq, points, nullptr);
+  // The host's speed drifts by tens of percent over seconds, so the gate
+  // compares the two sides within each back-to-back pair and takes the
+  // median pair ratio over an odd number of pairs.
+  constexpr int kLookupPairs = 7;
+  double one_model_ns = 0.0;
+  double fleet_ns = 0.0;
+  std::vector<double> pair_ratios;
+  for (int rep = 0; rep < kLookupPairs; ++rep) {
+    const double one = PredictLoopOnce(single, single_seq, points,
+                                       overhead_ops, /*tick=*/false);
+    const double fleet = PredictLoopOnce(equal, measure_seq, points,
+                                         overhead_ops, /*tick=*/false);
+    pair_ratios.push_back(fleet / one);
+    if (rep == 0 || one < one_model_ns) one_model_ns = one;
+    if (rep == 0 || fleet < fleet_ns) fleet_ns = fleet;
+  }
+  std::sort(pair_ratios.begin(), pair_ratios.end());
+  const double lookup_ratio = pair_ratios[pair_ratios.size() / 2];
+  constexpr double kLookupRatio = 1.5;
+  const bool lookup_pass = lookup_ratio < kLookupRatio;
+
   TablePrinter scenarios(
       {"scenario", "agg_nae", "predict_p99_ns", "predict ops/s"});
   scenarios.AddRow({"equal_split", TablePrinter::Num(equal_nae, 4),
@@ -316,6 +370,13 @@ int Main(int argc, char** argv) {
   activity.Print(std::cout);
 
   std::printf("\n");
+  TablePrinter lookup({"catalog", "models", "predict ns/op"});
+  lookup.AddRow({"one_model", "1", TablePrinter::Num(one_model_ns, 1)});
+  lookup.AddRow({"fleet_permuted", std::to_string(models),
+                 TablePrinter::Num(fleet_ns, 1)});
+  lookup.Print(std::cout);
+
+  std::printf("\n");
   TablePrinter gates({"gate", "measured", "budget", "verdict"});
   gates.AddRow({"governed_vs_equal_nae",
                 TablePrinter::Num(equal_nae > 0.0
@@ -331,13 +392,18 @@ int Main(int argc, char** argv) {
                 TablePrinter::Num(amortized_pct, 2),
                 TablePrinter::Num(kBudgetPct, 1),
                 amortized_pass ? "PASS" : "FAIL"});
+  gates.AddRow({"fleet_vs_one_model_predict",
+                TablePrinter::Num(lookup_ratio, 3),
+                TablePrinter::Num(kLookupRatio, 1),
+                lookup_pass ? "PASS" : "FAIL"});
   gates.Print(std::cout);
 
-  const bool pass = nae_pass && tick_pass && amortized_pass;
+  const bool pass = nae_pass && tick_pass && amortized_pass && lookup_pass;
   std::printf("\n%s: governed nae %.4f vs equal %.4f, tick %+.2f%%, "
-              "rebalance %.1f us (%.2f%% amortized)\n",
+              "rebalance %.1f us (%.2f%% amortized), fleet predict %.2fx "
+              "one-model\n",
               pass ? "PASS" : "FAIL", governed_nae, equal_nae,
-              tick_delta_pct, rebalance_us, amortized_pct);
+              tick_delta_pct, rebalance_us, amortized_pct, lookup_ratio);
 
   const int json_status = MaybeWriteBenchJson(argc, argv, "catalog_scale");
   return pass ? json_status : 1;

@@ -1,6 +1,9 @@
 // Concurrent model-serving throughput: the single-mutex ConcurrentCostModel
 // baseline vs the sharded serving layer (ShardedCostModel) on a mixed
-// predict/observe workload at 1..16 threads.
+// predict/observe workload at 1..16 threads, then the same comparison one
+// layer up: a CostCatalog of 512 entries (kGlobalMutex vs kSharded) under
+// Zipf traffic whose ranks map to entries through a seeded permutation, so
+// every op also pays the catalog's entry lookup.
 //
 //   concurrent_throughput [--ops=200000] [--shards=8] [--observe-pct=10]
 //                         [--threads=1,2,4,8,16] [--budget=14400]
@@ -31,6 +34,9 @@
 #include "common/rng.h"
 #include "common/table_printer.h"
 #include "common/timer.h"
+#include "common/zipf.h"
+#include "engine/cost_catalog.h"
+#include "eval/experiment_setup.h"
 #include "model/concurrent_model.h"
 #include "model/mlq_model.h"
 #include "model/sharded_model.h"
@@ -222,6 +228,117 @@ PairedObserveResult RunObservePaired(CostModel& model, int64_t total_ops,
   if (result.scalar_ops_per_sec > 0.0 && result.batch_ops_per_sec > 0.0) {
     result.speedup = result.batch_ops_per_sec / result.scalar_ops_per_sec;
   }
+  return result;
+}
+
+// One catalog-level op: which entry, which model point, and (for feedback
+// ops) the execution outcome, precomputed so the timed loop runs only
+// catalog calls.
+struct CatalogOp {
+  uint32_t model = 0;
+  uint32_t point = 0;
+  bool observe = false;
+  UdfCost cost;
+};
+
+constexpr int kCatalogEntries = 512;
+constexpr size_t kCatalogPoints = 1024;
+
+// The fleet every catalog run serves: uniquely named synthetic UDFs over
+// the paper's model space, a shared point pool, and per-thread op streams.
+struct CatalogFleet {
+  std::vector<std::unique_ptr<RenamedUdf>> udfs;
+  std::vector<Point> points;
+};
+
+CatalogFleet MakeCatalogFleet() {
+  CatalogFleet fleet;
+  for (int i = 0; i < kCatalogEntries; ++i) {
+    fleet.udfs.push_back(std::make_unique<RenamedUdf>(
+        "m" + std::to_string(i),
+        MakePaperSyntheticUdf(/*num_peaks=*/20, /*noise_probability=*/0.0,
+                              0xC47A + static_cast<uint64_t>(i))));
+  }
+  fleet.points = MakePaperWorkload(fleet.udfs[0]->model_space(),
+                                   QueryDistributionKind::kUniform,
+                                   kCatalogPoints, 0x9017);
+  return fleet;
+}
+
+// Zipf(1.1) ranks mapped to entries through a seeded permutation (the hot
+// entries are scattered over the registration order).
+std::vector<CatalogOp> MakeCatalogOps(CatalogFleet& fleet, int64_t ops,
+                                      double observe_fraction,
+                                      uint64_t seed) {
+  std::vector<uint32_t> rank_to_model(kCatalogEntries);
+  for (size_t i = 0; i < rank_to_model.size(); ++i) {
+    rank_to_model[i] = static_cast<uint32_t>(i);
+  }
+  Rng perm_rng(0x5EED);
+  for (size_t i = rank_to_model.size(); i > 1; --i) {
+    const auto j = static_cast<size_t>(
+        perm_rng.UniformInt(0, static_cast<int64_t>(i) - 1));
+    std::swap(rank_to_model[i - 1], rank_to_model[j]);
+  }
+  ZipfDistribution zipf(kCatalogEntries, 1.1);
+  Rng rng(seed);
+  std::vector<CatalogOp> out(static_cast<size_t>(ops));
+  for (CatalogOp& op : out) {
+    op.model = rank_to_model[static_cast<size_t>(zipf.Sample(rng) - 1)];
+    op.point = static_cast<uint32_t>(
+        rng.UniformInt(0, static_cast<int64_t>(kCatalogPoints) - 1));
+    op.observe = rng.NextDouble() < observe_fraction;
+    if (op.observe) {
+      op.cost = fleet.udfs[op.model]->Execute(fleet.points[op.point]);
+    }
+  }
+  return out;
+}
+
+// Registers every entry, warms each with a few executions (so predictions
+// descend real trees), then runs `threads` workers over their op streams.
+RunResult RunCatalogWorkload(CatalogConcurrency mode, int num_shards,
+                             CatalogFleet& fleet,
+                             const std::vector<std::vector<CatalogOp>>& ops) {
+  CostCatalog catalog(kPaperMemoryBytes, mode, num_shards);
+  for (size_t m = 0; m < fleet.udfs.size(); ++m) {
+    CostedUdf* udf = fleet.udfs[m].get();
+    for (size_t k = 0; k < 16; ++k) {
+      const Point& p = fleet.points[(m * 16 + k) % kCatalogPoints];
+      catalog.RecordExecution(udf, p, udf->Execute(p), k % 3 == 0);
+    }
+  }
+  catalog.FlushFeedback();
+
+  std::vector<std::thread> workers;
+  workers.reserve(ops.size());
+  WallTimer timer;
+  for (const std::vector<CatalogOp>& stream : ops) {
+    workers.emplace_back([&catalog, &fleet, &stream]() {
+      volatile double sink = 0.0;
+      for (const CatalogOp& op : stream) {
+        CostedUdf* udf = fleet.udfs[op.model].get();
+        const Point& p = fleet.points[op.point];
+        if (op.observe) {
+          catalog.RecordExecution(udf, p, op.cost, op.point % 3 == 0);
+        } else {
+          sink = sink + catalog.PredictCostMicros(udf, p);
+        }
+      }
+      (void)sink;
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+  catalog.FlushFeedback();
+  const double seconds = timer.ElapsedSeconds();
+
+  int64_t total_ops = 0;
+  for (const auto& stream : ops) {
+    total_ops += static_cast<int64_t>(stream.size());
+  }
+  RunResult result;
+  result.ops_per_sec =
+      seconds > 0.0 ? static_cast<double>(total_ops) / seconds : 0.0;
   return result;
 }
 
@@ -442,6 +559,37 @@ int Main(int argc, char** argv) {
          std::to_string(on_epochs)});
   }
   drift_table.Print(std::cout);
+
+  // Catalog-level serving: the mixed workload through CostCatalog over 512
+  // entries. Read against the model-level table: the gap is what the
+  // catalog (entry lookup, pin, windowed feedback state) adds per op.
+  std::printf("\nCatalog serving (%d entries, permuted Zipf 1.1):\n",
+              kCatalogEntries);
+  TablePrinter catalog_table({"threads", "mutex catalog Mops/s",
+                              "sharded catalog Mops/s", "speedup"});
+  CatalogFleet fleet = MakeCatalogFleet();
+  for (const int threads : thread_counts) {
+    const int64_t ops_per_thread = total_ops / threads;
+    std::vector<std::vector<CatalogOp>> ops;
+    for (int t = 0; t < threads; ++t) {
+      ops.push_back(MakeCatalogOps(fleet, ops_per_thread, observe_fraction,
+                                   0xCA7 + static_cast<uint64_t>(t)));
+    }
+    const RunResult mutex_result = RunCatalogWorkload(
+        CatalogConcurrency::kGlobalMutex, num_shards, fleet, ops);
+    const RunResult sharded_result = RunCatalogWorkload(
+        CatalogConcurrency::kSharded, num_shards, fleet, ops);
+    catalog_table.AddRow(
+        {std::to_string(threads),
+         TablePrinter::Num(mutex_result.ops_per_sec / 1e6, 3),
+         TablePrinter::Num(sharded_result.ops_per_sec / 1e6, 3),
+         TablePrinter::Num(sharded_result.ops_per_sec /
+                               (mutex_result.ops_per_sec > 0.0
+                                    ? mutex_result.ops_per_sec
+                                    : 1.0),
+                           2)});
+  }
+  catalog_table.Print(std::cout);
 
   std::printf(
       "\nspeedup = sharded / mutex at the same thread count. The sharded\n"

@@ -1,6 +1,7 @@
 #ifndef MLQ_COMMON_FEEDBACK_QUEUE_H_
 #define MLQ_COMMON_FEEDBACK_QUEUE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -24,11 +25,17 @@ namespace mlq {
 // for cost feedback, fresh observations are strictly more valuable than
 // stale ones, and a bounded queue keeps the memory cost of a slow consumer
 // fixed. Drops are counted, never silent.
+//
+// The ring is allocated on the first push and doubles (re-linearized,
+// oldest first) each time it fills, until it reaches `capacity`: an idle
+// queue costs nothing and a queue that its consumer keeps short stays
+// short. Only a queue that actually reaches `capacity` pending items holds
+// that many.
 template <typename T>
 class BoundedFeedbackQueue {
  public:
   explicit BoundedFeedbackQueue(size_t capacity)
-      : ring_(capacity > 0 ? capacity : 1) {}
+      : capacity_(capacity > 0 ? capacity : 1) {}
 
   BoundedFeedbackQueue(const BoundedFeedbackQueue&) = delete;
   BoundedFeedbackQueue& operator=(const BoundedFeedbackQueue&) = delete;
@@ -38,6 +45,7 @@ class BoundedFeedbackQueue {
   bool Push(T item) {
     std::lock_guard<std::mutex> lock(mutex_);
     ++pushed_;
+    if (count_ == ring_.size() && ring_.size() < capacity_) GrowLocked();
     if (count_ == ring_.size()) {
       // Overwrite the oldest slot and advance the head past it.
       ring_[head_] = std::move(item);
@@ -60,6 +68,7 @@ class BoundedFeedbackQueue {
     size_t newly_dropped = 0;
     for (const T& item : items) {
       ++pushed_;
+      if (count_ == ring_.size() && ring_.size() < capacity_) GrowLocked();
       if (count_ == ring_.size()) {
         ring_[head_] = item;
         head_ = (head_ + 1) % ring_.size();
@@ -103,7 +112,8 @@ class BoundedFeedbackQueue {
     return count_;
   }
 
-  size_t capacity() const { return ring_.size(); }
+  // The cap on pending items (the ring may currently be smaller).
+  size_t capacity() const { return capacity_; }
 
   // Total Push calls, and how many of them cost an older item its slot.
   int64_t pushed() const {
@@ -116,7 +126,24 @@ class BoundedFeedbackQueue {
   }
 
  private:
+  // First allocation, in items.
+  static constexpr size_t kInitialSlots = 8;
+
+  // Replaces the full ring with one twice as large (at most capacity_),
+  // moving the pending items to its front in FIFO order.
+  void GrowLocked() {
+    const size_t slots =
+        std::min(capacity_, std::max(kInitialSlots, 2 * ring_.size()));
+    std::vector<T> grown(slots);
+    for (size_t i = 0; i < count_; ++i) {
+      grown[i] = std::move(ring_[(head_ + i) % ring_.size()]);
+    }
+    ring_.swap(grown);
+    head_ = 0;
+  }
+
   mutable std::mutex mutex_;
+  const size_t capacity_;
   std::vector<T> ring_;
   size_t head_ = 0;   // Index of the oldest pending item.
   size_t count_ = 0;  // Pending items.

@@ -50,7 +50,7 @@ int CatalogGovernor::RebalanceLocked() {
   std::vector<int64_t> traffic_delta(n, 0);
   int64_t total_delta = 0;
   for (size_t i = 0; i < n; ++i) {
-    const auto it = traffic_at_last_rebalance_.find(health[i].model);
+    const auto it = traffic_at_last_rebalance_.find(udfs[i]);
     const int64_t prev =
         it == traffic_at_last_rebalance_.end() ? 0 : it->second;
     traffic_delta[i] = std::max<int64_t>(health[i].traffic - prev, 0);
@@ -199,7 +199,7 @@ int CatalogGovernor::RebalanceLocked() {
   // Remember this rebalance's traffic totals (evicted entries keep theirs
   // in the snapshot store and resume the same counter on reload).
   for (size_t i = 0; i < n; ++i) {
-    traffic_at_last_rebalance_[health[i].model] = health[i].traffic;
+    traffic_at_last_rebalance_[udfs[i]] = health[i].traffic;
   }
 
   ++stats_.rebalances;

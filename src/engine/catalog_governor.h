@@ -60,10 +60,9 @@ struct GovernorPolicy {
 
   // Whole-model admission control: when > 0, at most this many entries
   // stay resident; beyond it the governor evicts the lowest-traffic
-  // entries (snapshot-to-store, lazily reloaded by the next For()).
-  // Eviction requires the catalog contract documented at
-  // CostCatalog::EvictEntry — only enable it when serving threads cannot
-  // hold entry references across rebalances (or in single-thread use).
+  // entries (snapshot-to-store, lazily reloaded by the next serving call).
+  // Safe under live serving: eviction waits for in-flight calls on the
+  // entry (see CostCatalog::EvictEntry). Refused in kSharded catalogs.
   int max_resident_models = 0;
 };
 
@@ -136,10 +135,11 @@ class CatalogGovernor {
   mutable std::mutex mutex_;
   // All below guarded by mutex_.
   int64_t ticks_ = 0;
-  // Traffic totals at the previous rebalance, keyed by UDF name: the
-  // demand score uses the traffic DELTA since last time, so an entry that
-  // was hot last month and idle now reads as cold.
-  std::map<std::string, int64_t> traffic_at_last_rebalance_;
+  // Traffic totals at the previous rebalance, keyed by UDF identity like
+  // the catalog's own tables (names need not be unique): the demand score
+  // uses the traffic DELTA since last time, so an entry that was hot last
+  // month and idle now reads as cold.
+  std::map<const CostedUdf*, int64_t> traffic_at_last_rebalance_;
   GovernorStats stats_;
 };
 

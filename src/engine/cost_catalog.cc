@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <thread>
 
 #include "common/timer.h"
 #include "engine/maintenance_scheduler.h"
@@ -53,7 +54,55 @@ CostCatalog::CostCatalog(int64_t memory_limit_bytes,
                          CatalogConcurrency concurrency, int num_shards)
     : memory_limit_bytes_(memory_limit_bytes),
       concurrency_(concurrency),
-      num_shards_(std::max(num_shards, 1)) {}
+      num_shards_(std::max(num_shards, 1)) {
+  tables_.push_back(std::make_unique<EntryTable>(/*log2_slots=*/3));
+  table_.store(tables_.back().get(), std::memory_order_release);
+}
+
+CostCatalog::EntryTable::EntryTable(int log2_slots)
+    : shift(64 - log2_slots),
+      mask((size_t{1} << log2_slots) - 1),
+      slots(new Slot[size_t{1} << log2_slots]) {}
+
+size_t CostCatalog::EntryTable::SlotOf(const CostedUdf* udf) const {
+  // Fibonacci hashing: multiply by 2^64 / phi and keep the top bits, which
+  // mixes every bit of the (aligned) pointer without a division.
+  const auto key = static_cast<uint64_t>(reinterpret_cast<uintptr_t>(udf));
+  return static_cast<size_t>((key * 0x9E3779B97F4A7C15ull) >> shift);
+}
+
+void CostCatalog::EntryTable::Insert(Entry* entry) {
+  size_t i = SlotOf(entry->udf);
+  while (slots[i].udf.load(std::memory_order_relaxed) != nullptr) {
+    i = (i + 1) & mask;
+  }
+  // Entry before key: a reader that acquires the key sees the entry (and
+  // everything written to the shell before it was published).
+  slots[i].entry.store(entry, std::memory_order_relaxed);
+  slots[i].udf.store(entry->udf, std::memory_order_release);
+}
+
+CostCatalog::Entry* CostCatalog::Lookup(const CostedUdf* udf) const {
+  const EntryTable* table = table_.load(std::memory_order_acquire);
+  for (size_t i = table->SlotOf(udf);; i = (i + 1) & table->mask) {
+    const CostedUdf* key = table->slots[i].udf.load(std::memory_order_acquire);
+    if (key == udf) return table->slots[i].entry.load(std::memory_order_relaxed);
+    if (key == nullptr) return nullptr;
+  }
+}
+
+void CostCatalog::PublishLocked(std::unique_ptr<Entry> entry) {
+  const EntryTable& current = *tables_.back();
+  if ((entries_.size() + 1) * 2 > current.mask + 1) {
+    // Twice the slots: log2(slots) is 64 - shift.
+    auto grown = std::make_unique<EntryTable>(64 - current.shift + 1);
+    for (const auto& e : entries_) grown->Insert(e.get());
+    table_.store(grown.get(), std::memory_order_release);
+    tables_.push_back(std::move(grown));
+  }
+  tables_.back()->Insert(entry.get());
+  entries_.push_back(std::move(entry));
+}
 
 std::unique_ptr<CostModel> CostCatalog::MakeModel(const Box& space,
                                                   int64_t beta) {
@@ -137,89 +186,120 @@ CostCatalog::Entry& CostCatalog::For(CostedUdf* udf) {
 
 CostCatalog::Entry& CostCatalog::For(CostedUdf* udf, std::string_view tenant) {
   assert(udf != nullptr);
+  Entry* entry = Lookup(udf);
+  if (entry != nullptr && entry->resident.load(std::memory_order_acquire)) {
+    return *entry;
+  }
   std::unique_lock<std::mutex> lock(entries_mutex_, std::defer_lock);
   if (concurrency_ != CatalogConcurrency::kSingleThread) lock.lock();
   return ForLocked(udf, tenant);
 }
 
+// Pin protocol. A reader increments `pins` and then reads `resident`; the
+// evictor clears `resident` and then reads `pins`. All four accesses are
+// seq_cst, so at least one side sees the other: either the reader sees the
+// flag cleared (and backs off to the locked path) or the evictor sees the
+// pin (and waits for it). The shell itself is never freed, so a pin on an
+// entry that is being evicted touches valid memory.
+CostCatalog::PinnedEntry CostCatalog::Pin(CostedUdf* udf) {
+  assert(udf != nullptr);
+  if (Entry* entry = Lookup(udf); entry != nullptr) {
+    entry->pins.fetch_add(1, std::memory_order_seq_cst);
+    if (entry->resident.load(std::memory_order_seq_cst)) {
+      return PinnedEntry(*entry);
+    }
+    entry->pins.fetch_sub(1, std::memory_order_release);
+  }
+  std::unique_lock<std::mutex> lock(entries_mutex_, std::defer_lock);
+  if (concurrency_ != CatalogConcurrency::kSingleThread) lock.lock();
+  Entry& entry = ForLocked(udf, "default");
+  // Eviction needs entries_mutex_, so it cannot start before this pin.
+  entry.pins.fetch_add(1, std::memory_order_relaxed);
+  return PinnedEntry(entry);
+}
+
 CostCatalog::Entry& CostCatalog::ForLocked(CostedUdf* udf,
                                            std::string_view tenant) {
-  for (auto& entry : entries_) {
-    if (entry->udf == udf) return *entry;
+  Entry* entry = Lookup(udf);
+  if (entry == nullptr) {
+    auto shell = std::make_unique<Entry>();
+    shell->udf = udf;
+    shell->tenant = std::string(tenant);
+    entry = shell.get();
+    PublishLocked(std::move(shell));
+  } else if (entry->resident.load(std::memory_order_relaxed)) {
+    return *entry;
   }
+  BuildModelsLocked(*entry);
+  ++resident_count_;
+  // Publishes the models: a reader that sees the flag set sees them.
+  entry->resident.store(true, std::memory_order_seq_cst);
+  return *entry;
+}
+
+void CostCatalog::BuildModelsLocked(Entry& entry) {
+  CostedUdf* udf = entry.udf;
   const Box space = udf->model_space();
 
-  // Reload path: the governor evicted this UDF; rebuild its entry from the
+  // Reload path: the governor evicted this UDF; rebuild its models from the
   // serialized snapshot so predictions resume bit-identically.
   if (const auto it = evicted_.find(udf); it != evicted_.end()) {
-    EvictedEntry& snap = it->second;
+    const EvictedEntry& snap = it->second;
     auto cpu = MakeModelFromImage(snap.cpu_image, space.dims());
     auto io = MakeModelFromImage(snap.io_image, space.dims());
     auto sel = MakeModelFromImage(snap.selectivity_image, space.dims());
+    const double image_bytes = static_cast<double>(snap.ImageBytes());
+    evicted_.erase(it);
     if (cpu != nullptr && io != nullptr && sel != nullptr) {
-      const double image_bytes = static_cast<double>(snap.ImageBytes());
-      auto entry = std::make_unique<Entry>();
-      entry->udf = udf;
-      entry->tenant = std::move(snap.tenant);
-      entry->cpu_model = std::move(cpu);
-      entry->io_model = std::move(io);
-      entry->selectivity_model = std::move(sel);
-      entry->traffic.store(snap.traffic, std::memory_order_relaxed);
-      entry->budget_bytes = snap.budget_bytes;
-      entry->windowed = snap.windowed;
-      entry->cost_detector = snap.cost_detector;
-      entry->selectivity_detector = snap.selectivity_detector;
-      evicted_.erase(it);
-      entries_.push_back(std::move(entry));
+      entry.cpu_model = std::move(cpu);
+      entry.io_model = std::move(io);
+      entry.selectivity_model = std::move(sel);
       if (obs::Enabled()) {
         obs::Core().governor_reloads.Inc();
         obs::GlobalEventLog().Append(obs::EventKind::kModelReload,
                                      udf->name(), image_bytes);
       }
-      return *entries_.back();
+      return;
     }
-    // A malformed snapshot falls through to a fresh entry: serving
+    // A malformed snapshot falls through to fresh models: serving
     // correctness beats preserving a corrupt image.
-    evicted_.erase(it);
   }
 
-  auto entry = std::make_unique<Entry>();
-  entry->udf = udf;
-  entry->tenant = std::string(tenant);
-  entry->cpu_model = MakeModel(space, /*beta=*/1);
-  entry->io_model = MakeModel(space, /*beta=*/10);
-  entry->selectivity_model = MakeModel(space, /*beta=*/5);
-  entry->budget_bytes = 3 * memory_limit_bytes_;
-  entries_.push_back(std::move(entry));
+  entry.cpu_model = MakeModel(space, /*beta=*/1);
+  entry.io_model = MakeModel(space, /*beta=*/10);
+  entry.selectivity_model = MakeModel(space, /*beta=*/5);
+  entry.budget_bytes = 3 * memory_limit_bytes_;
   obs::GlobalEventLog().Append(obs::EventKind::kModelLoad, udf->name(),
                                static_cast<double>(memory_limit_bytes_));
-  return *entries_.back();
 }
 
 const CostCatalog::Entry* CostCatalog::Find(const CostedUdf* udf) const {
-  std::unique_lock<std::mutex> lock(entries_mutex_, std::defer_lock);
-  if (concurrency_ != CatalogConcurrency::kSingleThread) lock.lock();
-  for (const auto& entry : entries_) {
-    if (entry->udf == udf) return entry.get();
+  const Entry* entry = Lookup(udf);
+  if (entry == nullptr || !entry->resident.load(std::memory_order_acquire)) {
+    return nullptr;
   }
-  return nullptr;
+  return entry;
 }
 
 void CostCatalog::RecordExecution(CostedUdf* udf, const Point& model_point,
                                   const UdfCost& cost, bool passed) {
-  Entry& entry = For(udf);
-  entry.cpu_model->Observe(model_point, cost.cpu_work);
-  entry.io_model->Observe(model_point, cost.io_pages);
-  entry.selectivity_model->Observe(model_point, passed ? 1.0 : 0.0);
-  const DriftKind drift = UpdateWindowed(entry, cost, passed);
+  DriftKind drift = DriftKind::kNone;
+  {
+    const PinnedEntry entry = Pin(udf);
+    entry->cpu_model->Observe(model_point, cost.cpu_work);
+    entry->io_model->Observe(model_point, cost.io_pages);
+    entry->selectivity_model->Observe(model_point, passed ? 1.0 : 0.0);
+    drift = UpdateWindowed(*entry, cost, passed);
+  }
   if (obs::Enabled()) obs::Core().catalog_feedback.Inc();
+  // Unpinned first: the drift burst takes entries_mutex_, which an evictor
+  // may hold while it waits for this entry's pins.
   if (drift != DriftKind::kNone) NotifyDriftDetected(drift);
 }
 
 void CostCatalog::RecordExecutionBatch(
     CostedUdf* udf, std::span<const ExecutionRecord> records) {
   if (records.empty()) return;
-  Entry& entry = For(udf);
   // Three parallel observation vectors, one per model; insert order within
   // each model matches a RecordExecution loop exactly.
   std::vector<Observation> cpu;
@@ -233,15 +313,18 @@ void CostCatalog::RecordExecutionBatch(
     io.push_back({r.model_point, r.cost.io_pages});
     selectivity.push_back({r.model_point, r.passed ? 1.0 : 0.0});
   }
-  entry.cpu_model->ObserveBatch(cpu);
-  entry.io_model->ObserveBatch(io);
-  entry.selectivity_model->ObserveBatch(selectivity);
   // Fold the windowed EWMAs in record order; keep only the worst verdict
-  // and notify once per batch, after every entry lock is released.
+  // and notify once per batch, after the entry is unpinned.
   DriftKind worst = DriftKind::kNone;
-  for (const ExecutionRecord& r : records) {
-    const DriftKind drift = UpdateWindowed(entry, r.cost, r.passed);
-    if (static_cast<int>(drift) > static_cast<int>(worst)) worst = drift;
+  {
+    const PinnedEntry entry = Pin(udf);
+    entry->cpu_model->ObserveBatch(cpu);
+    entry->io_model->ObserveBatch(io);
+    entry->selectivity_model->ObserveBatch(selectivity);
+    for (const ExecutionRecord& r : records) {
+      const DriftKind drift = UpdateWindowed(*entry, r.cost, r.passed);
+      if (static_cast<int>(drift) > static_cast<int>(worst)) worst = drift;
+    }
   }
   if (obs::Enabled()) {
     obs::Core().catalog_feedback.Inc(static_cast<int64_t>(records.size()));
@@ -327,11 +410,11 @@ void CostCatalog::AdvanceDecayEpochs(int64_t epochs) {
   if (concurrency_ != CatalogConcurrency::kSingleThread) lock.lock();
   // Same lock order as the compaction epochs: entries_mutex_, then each
   // model's own synchronization (inside AdvanceDecayEpoch).
-  for (auto& entry : entries_) {
-    entry->cpu_model->AdvanceDecayEpoch(epochs);
-    entry->io_model->AdvanceDecayEpoch(epochs);
-    entry->selectivity_model->AdvanceDecayEpoch(epochs);
-  }
+  ForEachResidentLocked([epochs](Entry& entry) {
+    entry.cpu_model->AdvanceDecayEpoch(epochs);
+    entry.io_model->AdvanceDecayEpoch(epochs);
+    entry.selectivity_model->AdvanceDecayEpoch(epochs);
+  });
   obs::GlobalEventLog().Append(obs::EventKind::kDecayEpochs, "catalog",
                                static_cast<double>(epochs));
 }
@@ -340,27 +423,27 @@ double CostCatalog::MaxModelStaleness() const {
   std::unique_lock<std::mutex> lock(entries_mutex_, std::defer_lock);
   if (concurrency_ != CatalogConcurrency::kSingleThread) lock.lock();
   double staleness = 1.0;
-  for (const auto& entry : entries_) {
-    std::lock_guard<std::mutex> windowed_lock(entry->windowed_mutex);
-    staleness = std::max(staleness, entry->cost_detector.staleness());
-    staleness = std::max(staleness, entry->selectivity_detector.staleness());
-  }
+  ForEachResidentLocked([&staleness](const Entry& entry) {
+    std::lock_guard<std::mutex> windowed_lock(entry.windowed_mutex);
+    staleness = std::max(staleness, entry.cost_detector.staleness());
+    staleness = std::max(staleness, entry.selectivity_detector.staleness());
+  });
   return staleness;
 }
 
 double CostCatalog::PredictCostMicros(CostedUdf* udf,
                                       const Point& model_point) {
-  Entry& entry = For(udf);
-  entry.traffic.fetch_add(1, std::memory_order_relaxed);
-  return entry.cpu_model->Predict(model_point) * kMicrosPerWorkUnit +
-         entry.io_model->Predict(model_point) * kMicrosPerPageMiss;
+  const PinnedEntry entry = Pin(udf);
+  entry->traffic.fetch_add(1, std::memory_order_relaxed);
+  return entry->cpu_model->Predict(model_point) * kMicrosPerWorkUnit +
+         entry->io_model->Predict(model_point) * kMicrosPerPageMiss;
 }
 
 double CostCatalog::PredictSelectivity(CostedUdf* udf,
                                        const Point& model_point) {
-  Entry& entry = For(udf);
-  entry.traffic.fetch_add(1, std::memory_order_relaxed);
-  const Prediction p = entry.selectivity_model->PredictDetailed(model_point);
+  const PinnedEntry entry = Pin(udf);
+  entry->traffic.fetch_add(1, std::memory_order_relaxed);
+  const Prediction p = entry->selectivity_model->PredictDetailed(model_point);
   if (!p.reliable && p.count == 0) return 0.5;  // Nothing known yet.
   return std::clamp(p.value, 0.01, 1.0);
 }
@@ -370,13 +453,13 @@ void CostCatalog::PredictCostMicrosBatch(CostedUdf* udf,
                                          std::span<double> out) {
   assert(model_points.size() == out.size());
   if (model_points.empty()) return;
-  Entry& entry = For(udf);
-  entry.traffic.fetch_add(static_cast<int64_t>(model_points.size()),
+  const PinnedEntry entry = Pin(udf);
+  entry->traffic.fetch_add(static_cast<int64_t>(model_points.size()),
                           std::memory_order_relaxed);
   std::vector<Prediction> cpu(model_points.size());
   std::vector<Prediction> io(model_points.size());
-  entry.cpu_model->PredictBatch(model_points, cpu);
-  entry.io_model->PredictBatch(model_points, io);
+  entry->cpu_model->PredictBatch(model_points, cpu);
+  entry->io_model->PredictBatch(model_points, io);
   for (size_t i = 0; i < model_points.size(); ++i) {
     out[i] = cpu[i].value * kMicrosPerWorkUnit +
              io[i].value * kMicrosPerPageMiss;
@@ -388,11 +471,11 @@ void CostCatalog::PredictSelectivityBatch(CostedUdf* udf,
                                           std::span<double> out) {
   assert(model_points.size() == out.size());
   if (model_points.empty()) return;
-  Entry& entry = For(udf);
-  entry.traffic.fetch_add(static_cast<int64_t>(model_points.size()),
+  const PinnedEntry entry = Pin(udf);
+  entry->traffic.fetch_add(static_cast<int64_t>(model_points.size()),
                           std::memory_order_relaxed);
   std::vector<Prediction> predictions(model_points.size());
-  entry.selectivity_model->PredictBatch(model_points, predictions);
+  entry->selectivity_model->PredictBatch(model_points, predictions);
   for (size_t i = 0; i < model_points.size(); ++i) {
     const Prediction& p = predictions[i];
     out[i] = (!p.reliable && p.count == 0) ? 0.5
@@ -462,12 +545,12 @@ double CostCatalog::WindowedCostDisagreement(const Entry& entry) const {
 
 CostEstimate CostCatalog::PredictCostStats(CostedUdf* udf,
                                            const Point& model_point) {
-  Entry& entry = For(udf);
-  entry.traffic.fetch_add(1, std::memory_order_relaxed);
-  const Prediction cpu = entry.cpu_model->PredictDetailed(model_point);
-  const Prediction io = entry.io_model->PredictDetailed(model_point);
+  const PinnedEntry entry = Pin(udf);
+  entry->traffic.fetch_add(1, std::memory_order_relaxed);
+  const Prediction cpu = entry->cpu_model->PredictDetailed(model_point);
+  const Prediction io = entry->io_model->PredictDetailed(model_point);
   CostEstimate e = CombineCostStats(cpu, io);
-  const double disagreement = WindowedCostDisagreement(entry);
+  const double disagreement = WindowedCostDisagreement(*entry);
   if (disagreement > 0.0) {
     e.stddev = std::sqrt(e.stddev * e.stddev + disagreement * disagreement);
     e.reliable = false;
@@ -478,10 +561,10 @@ CostEstimate CostCatalog::PredictCostStats(CostedUdf* udf,
 
 CostEstimate CostCatalog::PredictSelectivityStats(CostedUdf* udf,
                                                   const Point& model_point) {
-  Entry& entry = For(udf);
-  entry.traffic.fetch_add(1, std::memory_order_relaxed);
+  const PinnedEntry entry = Pin(udf);
+  entry->traffic.fetch_add(1, std::memory_order_relaxed);
   return SelectivityStats(
-      entry.selectivity_model->PredictDetailed(model_point));
+      entry->selectivity_model->PredictDetailed(model_point));
 }
 
 void CostCatalog::PredictCostStatsBatch(CostedUdf* udf,
@@ -489,15 +572,15 @@ void CostCatalog::PredictCostStatsBatch(CostedUdf* udf,
                                         std::span<CostEstimate> out) {
   assert(model_points.size() == out.size());
   if (model_points.empty()) return;
-  Entry& entry = For(udf);
-  entry.traffic.fetch_add(static_cast<int64_t>(model_points.size()),
+  const PinnedEntry entry = Pin(udf);
+  entry->traffic.fetch_add(static_cast<int64_t>(model_points.size()),
                           std::memory_order_relaxed);
   std::vector<Prediction> cpu(model_points.size());
   std::vector<Prediction> io(model_points.size());
-  entry.cpu_model->PredictBatch(model_points, cpu);
-  entry.io_model->PredictBatch(model_points, io);
+  entry->cpu_model->PredictBatch(model_points, cpu);
+  entry->io_model->PredictBatch(model_points, io);
   const bool obs_on = obs::Enabled();
-  const double disagreement = WindowedCostDisagreement(entry);
+  const double disagreement = WindowedCostDisagreement(*entry);
   for (size_t i = 0; i < model_points.size(); ++i) {
     out[i] = CombineCostStats(cpu[i], io[i]);
     if (disagreement > 0.0) {
@@ -514,11 +597,11 @@ void CostCatalog::PredictSelectivityStatsBatch(
     std::span<CostEstimate> out) {
   assert(model_points.size() == out.size());
   if (model_points.empty()) return;
-  Entry& entry = For(udf);
-  entry.traffic.fetch_add(static_cast<int64_t>(model_points.size()),
+  const PinnedEntry entry = Pin(udf);
+  entry->traffic.fetch_add(static_cast<int64_t>(model_points.size()),
                           std::memory_order_relaxed);
   std::vector<Prediction> predictions(model_points.size());
-  entry.selectivity_model->PredictBatch(model_points, predictions);
+  entry->selectivity_model->PredictBatch(model_points, predictions);
   for (size_t i = 0; i < model_points.size(); ++i) {
     out[i] = SelectivityStats(predictions[i]);
   }
@@ -534,9 +617,20 @@ void CostCatalog::FlushFeedback() {
   BusyScope busy(*this);
   std::unique_lock<std::mutex> lock(entries_mutex_, std::defer_lock);
   if (concurrency_ != CatalogConcurrency::kSingleThread) lock.lock();
-  for (auto& entry : entries_) FlushEntry(*entry);
+  ForEachResidentLocked(FlushEntry);
   obs::GlobalEventLog().Append(obs::EventKind::kModelFlush, "catalog",
-                               static_cast<double>(entries_.size()));
+                               static_cast<double>(resident_count_));
+}
+
+std::vector<std::unique_lock<std::mutex>> CostCatalog::LockModelsLocked() {
+  std::vector<std::unique_lock<std::mutex>> locks;
+  ForEachResidentLocked([&locks](Entry& entry) {
+    for (auto* model : {entry.cpu_model.get(), entry.io_model.get(),
+                        entry.selectivity_model.get()}) {
+      for (auto& l : model->LockForMaintenance()) locks.push_back(std::move(l));
+    }
+  });
+  return locks;
 }
 
 CostCatalog::ArenaMaintenanceStats CostCatalog::CompactArenas() {
@@ -548,20 +642,10 @@ CostCatalog::ArenaMaintenanceStats CostCatalog::CompactArenas() {
   // quiescent before their node blocks move.
   std::unique_lock<std::mutex> lock(entries_mutex_, std::defer_lock);
   if (concurrency_ != CatalogConcurrency::kSingleThread) lock.lock();
-  for (auto& entry : entries_) FlushEntry(*entry);
-  // Take every model's maintenance lock(s) so no prediction or drain can
-  // observe a node mid-move. Locks release together when `locks` dies.
+  ForEachResidentLocked(FlushEntry);
   WallTimer pause;
   {
-    std::vector<std::unique_lock<std::mutex>> locks;
-    for (auto& entry : entries_) {
-      for (auto* model :
-           {entry->cpu_model.get(), entry->io_model.get(),
-            entry->selectivity_model.get()}) {
-        auto model_locks = model->LockForMaintenance();
-        for (auto& l : model_locks) locks.push_back(std::move(l));
-      }
-    }
+    const auto locks = LockModelsLocked();
     for (auto& [fanout, arena] : arenas_) {
       const SharedNodeArena::CompactionStats c = arena->Compact();
       stats.physical_bytes_before += c.physical_bytes_before;
@@ -599,20 +683,12 @@ bool CostCatalog::CompactArenasStep(int64_t budget_slots,
   // Flush before quiescing: queued feedback holds Points, not node
   // indices, but applying it now keeps the trees identical to what a
   // stop-the-world epoch would have produced at this instant.
-  for (auto& entry : entries_) FlushEntry(*entry);
+  ForEachResidentLocked(FlushEntry);
   WallTimer pause;
   bool all_done = true;
   double max_frag = 0.0;
   {
-    std::vector<std::unique_lock<std::mutex>> locks;
-    for (auto& entry : entries_) {
-      for (auto* model :
-           {entry->cpu_model.get(), entry->io_model.get(),
-            entry->selectivity_model.get()}) {
-        auto model_locks = model->LockForMaintenance();
-        for (auto& l : model_locks) locks.push_back(std::move(l));
-      }
-    }
+    const auto locks = LockModelsLocked();
     for (auto& [fanout, arena] : arenas_) {
       const SharedNodeArena::CompactStepStats c =
           arena->CompactStep(budget_slots);
@@ -677,71 +753,70 @@ std::vector<obs::ModelHealth> CostCatalog::ReadModelHealth(
   std::unique_lock<std::mutex> lock(entries_mutex_, std::defer_lock);
   if (concurrency_ != CatalogConcurrency::kSingleThread) lock.lock();
   std::vector<obs::ModelHealth> out;
-  out.reserve(entries_.size());
+  out.reserve(static_cast<size_t>(resident_count_));
   if (udfs != nullptr) {
     udfs->clear();
-    udfs->reserve(entries_.size());
+    udfs->reserve(static_cast<size_t>(resident_count_));
   }
-  for (const auto& entry : entries_) {
+  ForEachResidentLocked([&](const Entry& entry) {
     obs::ModelHealth h;
-    h.model = entry->udf->name();
-    h.tenant = entry->tenant;
-    h.traffic = entry->traffic.load(std::memory_order_relaxed);
-    h.budget_bytes = entry->budget_bytes;
+    h.model = entry.udf->name();
+    h.tenant = entry.tenant;
+    h.traffic = entry.traffic.load(std::memory_order_relaxed);
+    h.budget_bytes = entry.budget_bytes;
     // Same lock order as the compaction epochs: entries_mutex_, then the
     // models' own synchronization (inside MemoryBytes / NodeCount).
     for (const auto* model :
-         {entry->cpu_model.get(), entry->io_model.get(),
-          entry->selectivity_model.get()}) {
+         {entry.cpu_model.get(), entry.io_model.get(),
+          entry.selectivity_model.get()}) {
       h.bytes += model->MemoryBytes();
       h.nodes += model->NodeCount();
     }
     {
-      std::lock_guard<std::mutex> windowed_lock(entry->windowed_mutex);
-      h.observations = entry->windowed.observations;
+      std::lock_guard<std::mutex> windowed_lock(entry.windowed_mutex);
+      h.observations = entry.windowed.observations;
       // Normalized deviation of the fast actual-cost window from the slow
       // baseline — bounded and zero-at-stability, unlike the detector's
       // raw relative-error EWMA, which explodes on near-zero actuals.
-      const double slow = std::abs(entry->windowed.slow_cost_micros);
+      const double slow = std::abs(entry.windowed.slow_cost_micros);
       h.windowed_nae =
-          slow > 0.0 ? std::abs(entry->windowed.fast_cost_micros -
-                                entry->windowed.slow_cost_micros) /
+          slow > 0.0 ? std::abs(entry.windowed.fast_cost_micros -
+                                entry.windowed.slow_cost_micros) /
                            slow
                      : 0.0;
-      h.staleness = std::max(entry->cost_detector.staleness(),
-                             entry->selectivity_detector.staleness());
+      h.staleness = std::max(entry.cost_detector.staleness(),
+                             entry.selectivity_detector.staleness());
     }
-    const auto arena_it = arenas_.find(1 << entry->udf->model_space().dims());
+    const auto arena_it = arenas_.find(1 << entry.udf->model_space().dims());
     if (arena_it != arenas_.end()) {
       h.fragmentation = arena_it->second->FragmentationRatio();
     }
     h.accuracy_per_byte =
         1.0 / ((1.0 + h.windowed_nae) *
                static_cast<double>(std::max<int64_t>(h.bytes, 1)));
-    if (udfs != nullptr) udfs->push_back(entry->udf);
+    if (udfs != nullptr) udfs->push_back(entry.udf);
     out.push_back(std::move(h));
-  }
+  });
   return out;
 }
 
 bool CostCatalog::SetEntryByteBudget(CostedUdf* udf, int64_t entry_bytes) {
   std::unique_lock<std::mutex> lock(entries_mutex_, std::defer_lock);
   if (concurrency_ != CatalogConcurrency::kSingleThread) lock.lock();
-  for (auto& entry : entries_) {
-    if (entry->udf != udf) continue;
-    // Even three-way split; each model keeps at least the root's charge so
-    // every budget is enforceable. Same lock order as the maintenance
-    // epochs: entries_mutex_, then each model's own synchronization
-    // (inside SetByteBudget).
-    const int64_t per_model =
-        std::max<int64_t>(entry_bytes / 3, kNodeBaseBytes);
-    entry->cpu_model->SetByteBudget(per_model);
-    entry->io_model->SetByteBudget(per_model);
-    entry->selectivity_model->SetByteBudget(per_model);
-    entry->budget_bytes = entry_bytes;
-    return true;
+  Entry* entry = Lookup(udf);
+  if (entry == nullptr || !entry->resident.load(std::memory_order_relaxed)) {
+    return false;
   }
-  return false;
+  // Even three-way split; each model keeps at least the root's charge so
+  // every budget is enforceable. Same lock order as the maintenance
+  // epochs: entries_mutex_, then each model's own synchronization (inside
+  // SetByteBudget).
+  const int64_t per_model = std::max<int64_t>(entry_bytes / 3, kNodeBaseBytes);
+  entry->cpu_model->SetByteBudget(per_model);
+  entry->io_model->SetByteBudget(per_model);
+  entry->selectivity_model->SetByteBudget(per_model);
+  entry->budget_bytes = entry_bytes;
+  return true;
 }
 
 bool CostCatalog::EvictEntry(CostedUdf* udf) {
@@ -749,38 +824,38 @@ bool CostCatalog::EvictEntry(CostedUdf* udf) {
   BusyScope busy(*this);
   std::unique_lock<std::mutex> lock(entries_mutex_, std::defer_lock);
   if (concurrency_ != CatalogConcurrency::kSingleThread) lock.lock();
-  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    Entry& entry = **it;
-    if (entry.udf != udf) continue;
-    // Queued feedback (none in the evictable modes today, but Flush is the
-    // documented quiesce step) must land in the trees before they are
-    // imaged.
-    FlushEntry(entry);
-    EvictedEntry snap;
-    snap.tenant = entry.tenant;
-    snap.budget_bytes = entry.budget_bytes;
-    snap.traffic = entry.traffic.load(std::memory_order_relaxed);
-    snap.cpu_image = SerializeQuadtree(BareModel(entry.cpu_model.get())->tree());
-    snap.io_image = SerializeQuadtree(BareModel(entry.io_model.get())->tree());
-    snap.selectivity_image =
-        SerializeQuadtree(BareModel(entry.selectivity_model.get())->tree());
-    {
-      std::lock_guard<std::mutex> windowed_lock(entry.windowed_mutex);
-      snap.windowed = entry.windowed;
-      snap.cost_detector = entry.cost_detector;
-      snap.selectivity_detector = entry.selectivity_detector;
-    }
-    if (obs::Enabled()) {
-      obs::Core().governor_evictions.Inc();
-      obs::GlobalEventLog().Append(obs::EventKind::kModelEvict, udf->name(),
-                                   static_cast<double>(snap.ImageBytes()),
-                                   static_cast<double>(snap.traffic));
-    }
-    evicted_[udf] = std::move(snap);
-    entries_.erase(it);
-    return true;
+  Entry* entry = Lookup(udf);
+  if (entry == nullptr || !entry->resident.load(std::memory_order_relaxed)) {
+    return false;
   }
-  return false;
+  // Unpublish, then wait out the serving calls that pinned the entry before
+  // they could see the flag (see Pin). New calls back off to the locked
+  // path and block on entries_mutex_ until the eviction is done.
+  entry->resident.store(false, std::memory_order_seq_cst);
+  --resident_count_;
+  while (entry->pins.load(std::memory_order_seq_cst) != 0) {
+    std::this_thread::yield();
+  }
+  // Queued feedback (none in the evictable modes today, but Flush is the
+  // documented quiesce step) must land in the trees before they are imaged.
+  FlushEntry(*entry);
+  EvictedEntry snap;
+  snap.cpu_image = SerializeQuadtree(BareModel(entry->cpu_model.get())->tree());
+  snap.io_image = SerializeQuadtree(BareModel(entry->io_model.get())->tree());
+  snap.selectivity_image =
+      SerializeQuadtree(BareModel(entry->selectivity_model.get())->tree());
+  if (obs::Enabled()) {
+    obs::Core().governor_evictions.Inc();
+    obs::GlobalEventLog().Append(
+        obs::EventKind::kModelEvict, udf->name(),
+        static_cast<double>(snap.ImageBytes()),
+        static_cast<double>(entry->traffic.load(std::memory_order_relaxed)));
+  }
+  evicted_[udf] = std::move(snap);
+  entry->cpu_model.reset();
+  entry->io_model.reset();
+  entry->selectivity_model.reset();
+  return true;
 }
 
 int CostCatalog::evicted_count() const {
@@ -820,7 +895,7 @@ int64_t CostCatalog::ArenaPhysicalBytes() const {
 int CostCatalog::size() const {
   std::unique_lock<std::mutex> lock(entries_mutex_, std::defer_lock);
   if (concurrency_ != CatalogConcurrency::kSingleThread) lock.lock();
-  return static_cast<int>(entries_.size());
+  return resident_count_;
 }
 
 }  // namespace mlq

@@ -70,26 +70,43 @@ class CostCatalog {
   static constexpr double kFastAlpha = 0.2;
   static constexpr double kSlowAlpha = 0.02;
 
-  struct Entry {
+  // One registered UDF. The Entry object itself (the "shell") lives as long
+  // as the catalog: eviction destroys only its three models, so a pointer or
+  // reference to an Entry never dangles. Its models are non-null exactly
+  // while `resident` is set.
+  //
+  // The fields every serving call touches (key, models, traffic, pin,
+  // residency) come first and the entry is cache-line aligned, so a warm
+  // lookup reads one line of the shell.
+  struct alignas(64) Entry {
     CostedUdf* udf;
-    // Owning tenant id (multi-tenant quota accounting; "default" unless
-    // the UDF was registered through the tenant-qualified For overload).
-    std::string tenant;
     std::unique_ptr<CostModel> cpu_model;
     std::unique_ptr<CostModel> io_model;
     std::unique_ptr<CostModel> selectivity_model;
     // Predictions served through this entry since registration — the
     // governor's traffic / LRU-by-traffic signal. Relaxed: an approximate
-    // count read racily by the governor is exactly what is needed.
+    // count read racily by the governor is exactly what is needed. Kept
+    // across eviction and reload.
     mutable std::atomic<int64_t> traffic{0};
+    // Serving calls in flight on this entry's models (see Pin in
+    // cost_catalog.cc). EvictEntry waits for it to drain before it destroys
+    // the models.
+    mutable std::atomic<int64_t> pins{0};
+    // Set once the models are built; cleared by EvictEntry before it waits
+    // for pins, set again by the reload. Written under entries_mutex_.
+    std::atomic<bool> resident{false};
+    // Owning tenant id (multi-tenant quota accounting; "default" unless
+    // the UDF was registered through the tenant-qualified For overload).
+    std::string tenant;
     // Entry-level byte budget currently granted (split evenly across the
     // three models by SetEntryByteBudget). Guarded by entries_mutex_ in
-    // the concurrent modes, like entries_ itself.
+    // the concurrent modes.
     int64_t budget_bytes = 0;
     // Windowed actual-outcome tracking plus the per-model drift detectors,
-    // updated on the feedback path. Guarded by windowed_mutex. Lock order:
-    // entries_mutex_ (when held at all) before windowed_mutex; nothing may
-    // take entries_mutex_ while holding a windowed_mutex.
+    // updated on the feedback path. Guarded by windowed_mutex; kept across
+    // eviction and reload. Lock order: entries_mutex_ (when held at all)
+    // before windowed_mutex; nothing may take entries_mutex_ while holding
+    // a windowed_mutex.
     mutable std::mutex windowed_mutex;
     WindowedActuals windowed;
     DriftDetector cost_detector;
@@ -144,15 +161,20 @@ class CostCatalog {
   CostCatalog& operator=(const CostCatalog&) = delete;
 
   // Lazily creates the entry for a UDF (tenant "default"), or — when the
-  // UDF was evicted by the governor — restores it from its snapshot.
-  // Thread-safe in concurrent modes.
+  // UDF was evicted by the governor — restores its models from the
+  // snapshot. A resident entry is found without taking a lock; creation and
+  // reload take entries_mutex_. Thread-safe in the concurrent modes. The
+  // returned shell lives as long as the catalog, but the reference does not
+  // pin it: its models may be evicted while the caller holds it. The
+  // serving calls below pin their entry instead.
   Entry& For(CostedUdf* udf);
   // Same, registering the UDF under an explicit tenant id. The tenant is
   // fixed at first registration; later calls (with any tenant) return the
   // existing entry unchanged.
   Entry& For(CostedUdf* udf, std::string_view tenant);
-  // Read-only lookup; nullptr if the UDF has never been registered or is
-  // currently evicted (Find never triggers a reload).
+  // Lock-free read-only lookup; nullptr if the UDF has never been
+  // registered or is currently evicted (Find never triggers a reload). Like
+  // For, the result is not pinned.
   const Entry* Find(const CostedUdf* udf) const;
 
   // Records one execution outcome for the UDF at the given model point.
@@ -271,8 +293,9 @@ class CostCatalog {
   // (bytes, nodes over all three models), windowed NAE (normalized
   // fast-vs-slow deviation of the WindowedActuals cost windows),
   // staleness (worst detector fast/slow ratio), the entry's arena
-  // fragmentation, and the derived accuracy-per-byte score. One vector element per catalog entry, in
-  // registration order. Intended as the exporter's health provider:
+  // fragmentation, and the derived accuracy-per-byte score. One vector
+  // element per resident entry, in registration order. Intended as the
+  // exporter's health provider:
   //   exporter.SetHealthProvider([&] { return catalog.ReadModelHealth(); });
   std::vector<obs::ModelHealth> ReadModelHealth() const;
 
@@ -294,18 +317,15 @@ class CostCatalog {
   // own synchronization).
   bool SetEntryByteBudget(CostedUdf* udf, int64_t entry_bytes);
 
-  // Evicts a whole resident entry: flushes its queued feedback, serializes
-  // its three trees (serialization v2/v3) plus the windowed/drift state
-  // into the in-memory snapshot store, and destroys the entry. The next
-  // For() on the UDF restores it with bit-identical predictions. Returns
-  // false for unknown/already-evicted UDFs and in kSharded mode (shard
-  // trees don't round-trip through a single serialized image).
-  //
-  // Concurrency contract: callers must guarantee no thread holds (or
-  // concurrently acquires) a reference to this UDF's entry — evict only
-  // UDFs whose traffic has quiesced, or stop serving first. The governor
-  // enforces this by evicting only zero-traffic-since-last-rebalance
-  // entries and only when eviction is explicitly enabled.
+  // Evicts a whole resident entry: unpublishes it so new serving calls take
+  // the locked reload path, waits for the serving calls already pinning it
+  // to finish, flushes its queued feedback, serializes its three trees
+  // (serialization v2/v3) into the in-memory snapshot store, and destroys
+  // the models. The entry's tenant, traffic, budget and windowed/drift
+  // state stay in its shell. The next serving call or For() on the UDF
+  // restores it with bit-identical predictions. Returns false for
+  // unknown/already-evicted UDFs and in kSharded mode (shard trees don't
+  // round-trip through a single serialized image).
   bool EvictEntry(CostedUdf* udf);
 
   // Entries currently parked in the snapshot store.
@@ -332,30 +352,88 @@ class CostCatalog {
   // actually allocated — distinct from the per-model logical budgets).
   int64_t ArenaPhysicalBytes() const;
 
+  // Resident entries (evicted ones are not counted).
   int size() const;
   int64_t memory_limit_bytes() const { return memory_limit_bytes_; }
   CatalogConcurrency concurrency() const { return concurrency_; }
 
  private:
-  // A snapshot of an evicted entry: the three serialized trees plus the
-  // scalar serving state needed to resume exactly where the entry left
-  // off. Keyed by CostedUdf pointer in evicted_.
+  // The serialized trees of an evicted entry (everything else stays in its
+  // shell). Keyed by CostedUdf pointer in evicted_.
   struct EvictedEntry {
-    std::string tenant;
-    int64_t budget_bytes = 0;
-    int64_t traffic = 0;
     std::vector<uint8_t> cpu_image;
     std::vector<uint8_t> io_image;
     std::vector<uint8_t> selectivity_image;
-    WindowedActuals windowed;
-    DriftDetector cost_detector;
-    DriftDetector selectivity_detector;
 
     int64_t ImageBytes() const {
       return static_cast<int64_t>(cpu_image.size() + io_image.size() +
                                   selectivity_image.size());
     }
   };
+
+  // One open-addressed (udf -> entry shell) lookup table: a power-of-two
+  // slot array probed linearly from the Fibonacci hash of the UDF pointer.
+  // Slots are only ever filled (shells are never removed), a slot's entry
+  // is stored before its key, and the table is kept at most half full, so
+  // a lock-free probe always ends at its key or at an empty slot.
+  struct EntryTable {
+    struct Slot {
+      std::atomic<const CostedUdf*> udf{nullptr};
+      std::atomic<Entry*> entry{nullptr};
+    };
+    explicit EntryTable(int log2_slots);
+    size_t SlotOf(const CostedUdf* udf) const;
+    // Writers only (entries_mutex_ held): fills the first free slot.
+    void Insert(Entry* entry);
+
+    int shift;    // 64 - log2(slots): the hash keeps the product's top bits.
+    size_t mask;  // slots - 1.
+    std::unique_ptr<Slot[]> slots;
+  };
+
+  // An entry pinned for the duration of one serving call (see Pin).
+  class PinnedEntry {
+   public:
+    explicit PinnedEntry(Entry& entry) : entry_(entry) {}
+    ~PinnedEntry() { entry_.pins.fetch_sub(1, std::memory_order_release); }
+    PinnedEntry(const PinnedEntry&) = delete;
+    PinnedEntry& operator=(const PinnedEntry&) = delete;
+    Entry& operator*() const { return entry_; }
+    Entry* operator->() const { return &entry_; }
+
+   private:
+    Entry& entry_;
+  };
+
+  // Lock-free probe of the published table; nullptr when the UDF has no
+  // shell (in the table this thread can see — callers fall back to the
+  // locked path, which re-probes the current one).
+  Entry* Lookup(const CostedUdf* udf) const;
+
+  // The serving calls' entry access: a resident entry is pinned without a
+  // lock; an unknown or evicted one is created or reloaded under
+  // entries_mutex_ and pinned before the lock is released.
+  PinnedEntry Pin(CostedUdf* udf);
+
+  // Adds a new shell to entries_ and to the lookup table, doubling the
+  // table first when it would become more than half full. Caller holds
+  // entries_mutex_ in the concurrent modes.
+  void PublishLocked(std::unique_ptr<Entry> entry);
+
+  // Calls fn(Entry&) for every resident entry in registration order.
+  // Caller holds entries_mutex_ in the concurrent modes.
+  template <typename Fn>
+  void ForEachResidentLocked(Fn&& fn) const {
+    for (const auto& entry : entries_) {
+      if (entry->resident.load(std::memory_order_relaxed)) fn(*entry);
+    }
+  }
+
+  // Takes every resident model's maintenance lock(s) so no prediction or
+  // drain can observe a node mid-move; they release together when the
+  // returned vector dies. Caller holds entries_mutex_ in the concurrent
+  // modes.
+  std::vector<std::unique_lock<std::mutex>> LockModelsLocked();
 
   // Wraps a freshly configured MLQ model according to concurrency_.
   std::unique_ptr<CostModel> MakeModel(const Box& space, int64_t beta);
@@ -393,6 +471,10 @@ class CostCatalog {
   // Flushes one entry's three models (any queued feedback applied inline).
   static void FlushEntry(Entry& entry);
 
+  // Builds a resident entry's models: from the UDF's snapshot when it has
+  // one (reload), fresh otherwise. Caller holds entries_mutex_.
+  void BuildModelsLocked(Entry& entry);
+
   // Marks a maintenance epoch / feedback flush as running for the guarded
   // scope so MaintenanceTick() backs off instead of re-entering
   // entries_mutex_ from inside one.
@@ -404,10 +486,22 @@ class CostCatalog {
   // Summary half-life applied to models created from now on (guarded by
   // entries_mutex_ in the concurrent modes, like entries_).
   double model_decay_half_life_ = 0.0;
-  // Guards entries_ and arenas_ (lookup + lazy creation) in the concurrent
-  // modes; the models themselves carry their own synchronization.
+  // Serializes registration, reload, eviction, budget changes and the
+  // catalog-wide walks (maintenance epochs, health reads) in the concurrent
+  // modes; guards entries_, resident_count_, tables_, evicted_ and
+  // arenas_. Lookups of resident entries never take it. The models carry
+  // their own synchronization.
   mutable std::mutex entries_mutex_;
+  // Every entry shell ever registered, in registration order. Shells are
+  // never removed, so Entry pointers stay valid for the catalog's life.
   std::vector<std::unique_ptr<Entry>> entries_;
+  int resident_count_ = 0;
+  // Lookup tables, smallest first. The last one is current and published
+  // through table_ (release store; readers acquire). Tables retired by
+  // doubling stay allocated until the catalog is destroyed — a reader may
+  // still be probing one — and together stay smaller than the current one.
+  std::vector<std::unique_ptr<EntryTable>> tables_;
+  std::atomic<const EntryTable*> table_{nullptr};
   // Snapshot store for governor-evicted entries (guarded by entries_mutex_
   // in the concurrent modes). In-memory: the serialized images ARE the
   // catalog-persistence format, so spilling them to files is a plain

@@ -363,8 +363,12 @@ std::unique_ptr<MemoryLimitedQuadtree> DeserializeQuadtree(
   }
   tree->compressed_once_ = compressed_once != 0;
 
+  // On a shared arena only the new tree is checked: the other trees on it
+  // may be serving (a catalog reload runs beside live traffic), so an
+  // arena-wide scan would race their inserts.
   std::string invariant_error;
-  if (!tree->CheckInvariants(&invariant_error)) {
+  if (!tree->CheckInvariants(&invariant_error,
+                             /*check_arena=*/!tree->pool_.shares_arena())) {
     *err = "invariants violated after load: " + invariant_error;
     return nullptr;
   }

@@ -54,7 +54,8 @@ std::unique_ptr<MemoryLimitedQuadtree> DeserializeQuadtree(
 // serialized dimensionality). Records are renumbered to pre-order visit
 // order on write, so the byte image is independent of arena layout:
 // serialize → deserialize round-trips bit-identically between private and
-// shared arenas.
+// shared arenas. The load validates the new tree's own structure but not
+// the rest of the arena, so other trees on it may keep serving meanwhile.
 std::unique_ptr<MemoryLimitedQuadtree> DeserializeQuadtree(
     const std::vector<uint8_t>& bytes, std::shared_ptr<SharedNodeArena> arena,
     std::string* error = nullptr);

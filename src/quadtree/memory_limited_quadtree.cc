@@ -699,7 +699,8 @@ void MemoryLimitedQuadtree::ForEachNode(
   walk(root(), space_);
 }
 
-bool MemoryLimitedQuadtree::CheckInvariants(std::string* error) const {
+bool MemoryLimitedQuadtree::CheckInvariants(std::string* error,
+                                            bool check_arena) const {
   auto fail = [error](const std::string& message) {
     if (error != nullptr) *error = message;
     return false;
@@ -805,7 +806,7 @@ bool MemoryLimitedQuadtree::CheckInvariants(std::string* error) const {
                   static_cast<long long>(nodes_seen));
     return fail(buf);
   }
-  if (!pool_.CheckConsistency(&first_error)) {
+  if (check_arena && !pool_.CheckConsistency(&first_error)) {
     return fail("node pool inconsistent: " + first_error);
   }
   if (LogicalBytesFor(nodes_seen) != budget_.used()) {

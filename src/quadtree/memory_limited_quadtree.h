@@ -201,8 +201,10 @@ class MemoryLimitedQuadtree {
   // Validates structural invariants (child counts vs parent counts, depth
   // bounds, memory accounting derived from the pool, sorted child chains,
   // pool free-list integrity). Returns true when consistent; otherwise
-  // false with a description in `error`.
-  bool CheckInvariants(std::string* error) const;
+  // false with a description in `error`. `check_arena = false` skips the
+  // arena-wide free-list scan, which on a shared arena reads every tree's
+  // slots and is only valid while no other tree on the arena mutates.
+  bool CheckInvariants(std::string* error, bool check_arena = true) const;
 
   // True once any compression has run (the lazy strategy keys th_SSE off
   // this, Section 4.4); exposed for catalog serialization.

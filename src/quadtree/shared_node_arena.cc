@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 #include <unordered_set>
 
 #include "obs/obs.h"
@@ -32,7 +34,12 @@ SharedNodeArena::~SharedNodeArena() {
 }
 
 void SharedNodeArena::AppendSlabLocked() {
-  assert(num_slabs_ < kMaxSlabs && "arena slab table exhausted");
+  // Checked in every build type: the slab table is fixed-size, and a write
+  // past it would corrupt the heap.
+  if (num_slabs_ >= kMaxSlabs) {
+    throw std::length_error("SharedNodeArena: slab table exhausted (" +
+                            std::to_string(kMaxSlabs) + " slabs)");
+  }
   PooledNode* slab = new PooledNode[kSlabSlots];
   // Release pairs with the relaxed loads in node(): any thread that learns
   // a NodeIndex into this slab does so via the arena mutex or the owning
@@ -81,10 +88,14 @@ void SharedNodeArena::ReleaseBlock(NodeIndex base) {
 }
 
 void SharedNodeArena::Reserve(size_t slots) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  while (num_slabs_ * kSlabSlots < slots && num_slabs_ < kMaxSlabs) {
-    AppendSlabLocked();
+  if (slots > kMaxSlabs * kSlabSlots) {
+    throw std::length_error("SharedNodeArena: Reserve(" +
+                            std::to_string(slots) + ") exceeds " +
+                            std::to_string(kMaxSlabs * kSlabSlots) +
+                            " slots");
   }
+  std::lock_guard<std::mutex> lock(mutex_);
+  while (num_slabs_ * kSlabSlots < slots) AppendSlabLocked();
 }
 
 void SharedNodeArena::RegisterRoot(NodeIndex* root) {

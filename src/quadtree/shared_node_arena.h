@@ -134,6 +134,9 @@ class SharedNodeArena {
   }
 
   // Pre-sizes the arena to at least `slots` slots of backing storage.
+  // Throws std::length_error, before allocating anything, when `slots`
+  // exceeds the slab table's capacity (kMaxSlabs * kSlabSlots). Growth past
+  // that capacity through AllocateBlock throws the same error.
   void Reserve(size_t slots);
 
   // Live nodes across every tree on this arena.

@@ -94,6 +94,52 @@ TEST(CatalogGovernorTest, ConservesGlobalBudgetUnderSkew) {
   EXPECT_GE(governor.stats().rebalances, 6);
 }
 
+// Two distinct UDFs that share a name (every un-renamed synthetic UDF is
+// "SYNTH-<n>p"). Traffic flips from the first to the second between
+// rebalances; the second rebalance must see each entry's own delta. Keyed
+// by name, the first entry's delta would be measured against the second
+// one's old total and absorb its whole history, out-bidding the hot one.
+TEST(CatalogGovernorTest, TrafficBaselineIsPerUdfNotPerName) {
+  auto first = MakePaperSyntheticUdf(10, 0.0, 301);
+  auto second = MakePaperSyntheticUdf(10, 0.0, 302);
+  ASSERT_EQ(first->name(), second->name());
+  CostCatalog catalog(1800);
+  catalog.For(first.get());
+  catalog.For(second.get());
+  const auto points = MakePaperWorkload(
+      first->model_space(), QueryDistributionKind::kUniform, 128, 37);
+
+  // Traffic alone drives demand; no hysteresis clamp beyond 2x per round.
+  GovernorPolicy policy;
+  policy.global_budget_bytes = 8000;
+  policy.min_change_bytes = 1;
+  policy.error_weight = 0.0;
+  policy.staleness_cap = 1.0;
+  policy.max_step_fraction = 1.0;
+  CatalogGovernor governor(&catalog, policy);
+
+  const auto budget_of = [&catalog](const CostedUdf* udf) {
+    std::vector<CostedUdf*> udfs;
+    const auto health = catalog.ReadModelHealth(&udfs);
+    for (size_t i = 0; i < udfs.size(); ++i) {
+      if (udfs[i] == udf) return health[i].budget_bytes;
+    }
+    return int64_t{-1};
+  };
+
+  Drive(catalog, first.get(), points, 4000);
+  Drive(catalog, second.get(), points, 100);
+  governor.RebalanceNow();
+  const int64_t second_before = budget_of(second.get());
+  EXPECT_GT(budget_of(first.get()), second_before);
+
+  Drive(catalog, second.get(), points, 2000);
+  Drive(catalog, first.get(), points, 100);
+  governor.RebalanceNow();
+  EXPECT_GT(budget_of(second.get()), second_before);
+  EXPECT_GT(budget_of(second.get()), budget_of(first.get()));
+}
+
 TEST(CatalogGovernorTest, ShrinksZeroTrafficModelsMonotonicallyToFloor) {
   auto udfs = MakeFleet(4, 23);
   CostCatalog catalog(1800);
@@ -232,8 +278,7 @@ TEST(CatalogGovernorTest, GovernedServingChurnIsThreadSafe) {
   policy.global_budget_bytes = 24000;
   policy.min_change_bytes = 1;
   // Rebalance every few serving ticks so re-budgeting genuinely overlaps
-  // the predict/observe traffic. Eviction stays off: serving threads hold
-  // no quiesce guarantee (see CostCatalog::EvictEntry's contract).
+  // the predict/observe traffic.
   policy.ticks_per_rebalance = 2;
   CatalogGovernor governor(&catalog, policy);
   MaintenanceScheduler scheduler(&catalog, MaintenancePolicy{});

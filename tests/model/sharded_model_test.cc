@@ -57,6 +57,71 @@ TEST(FeedbackQueueTest, DropsOldestOnOverflow) {
   EXPECT_EQ(out, (std::vector<int>{2, 3, 4}));
 }
 
+// The ring starts unallocated and doubles as it fills. Wrapping the ring
+// (pop some, push more) before each growth makes the re-linearization
+// move items that straddle the end of the old ring.
+TEST(FeedbackQueueTest, FifoOrderSurvivesGrowth) {
+  BoundedFeedbackQueue<int> queue(1000);
+  EXPECT_EQ(queue.capacity(), 1000u);
+  std::vector<int> expected;
+  std::vector<int> out;
+  int next = 0;
+  for (int round = 0; round < 6; ++round) {
+    for (int i = 0; i < 5 + round * 7; ++i) {
+      EXPECT_TRUE(queue.Push(next));
+      expected.push_back(next++);
+    }
+    queue.PopBatch(&out, 3);
+  }
+  for (int i = 0; i < 150; ++i) {
+    EXPECT_TRUE(queue.Push(next));
+    expected.push_back(next++);
+  }
+  queue.PopBatch(&out);
+  EXPECT_EQ(out, expected);
+  EXPECT_EQ(queue.pushed(), next);
+  EXPECT_EQ(queue.dropped(), 0);
+  EXPECT_EQ(queue.capacity(), 1000u);
+}
+
+// Growth stops at the cap: from then on every push past it drops the
+// oldest pending item, for Push and PushBatch alike.
+TEST(FeedbackQueueTest, DropsOldestAtTheCapAfterGrowth) {
+  constexpr int kCap = 100;  // Not a power of two: the last growth clamps.
+  BoundedFeedbackQueue<int> queue(kCap);
+  for (int i = 0; i < kCap; ++i) EXPECT_TRUE(queue.Push(i));
+  EXPECT_EQ(queue.size(), static_cast<size_t>(kCap));
+  EXPECT_FALSE(queue.Push(kCap));
+  const std::vector<int> batch{kCap + 1, kCap + 2, kCap + 3};
+  EXPECT_EQ(queue.PushBatch(batch), 3u);
+  EXPECT_EQ(queue.pushed(), kCap + 4);
+  EXPECT_EQ(queue.dropped(), 4);
+  EXPECT_EQ(queue.size(), static_cast<size_t>(kCap));
+  std::vector<int> out;
+  EXPECT_EQ(queue.PopBatch(&out), static_cast<size_t>(kCap));
+  ASSERT_EQ(out.size(), static_cast<size_t>(kCap));
+  for (int i = 0; i < kCap; ++i) EXPECT_EQ(out[static_cast<size_t>(i)], i + 4);
+}
+
+TEST(FeedbackQueueTest, PushBatchGrowsAcrossSeveralDoublings) {
+  BoundedFeedbackQueue<int> queue(64);
+  std::vector<int> batch(50);
+  for (int i = 0; i < 50; ++i) batch[static_cast<size_t>(i)] = i;
+  EXPECT_EQ(queue.PushBatch(batch), 0u);
+  EXPECT_EQ(queue.PushBatch(batch), 36u);
+  EXPECT_EQ(queue.pushed(), 100);
+  EXPECT_EQ(queue.dropped(), 36);
+  std::vector<int> out;
+  queue.PopBatch(&out);
+  ASSERT_EQ(out.size(), 64u);
+  // The newest 64 of the 100 pushes: the last 14 of the first batch, then
+  // the whole second batch.
+  EXPECT_EQ(out.front(), 36);
+  EXPECT_EQ(out[13], 49);
+  EXPECT_EQ(out[14], 0);
+  EXPECT_EQ(out.back(), 49);
+}
+
 // ---------------------------------------------------------------------------
 // Sharded model basics (single-threaded semantics)
 

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -51,6 +52,27 @@ std::vector<Observation> MakeWorkload(int n, uint64_t seed, double phase) {
     workload.push_back({p, Surface(p, phase) + rng.Gaussian(0.0, 25.0)});
   }
   return workload;
+}
+
+// The slab table has a fixed capacity; a request beyond it fails loudly in
+// every build type, before anything is allocated, instead of stopping
+// short (or, on the allocation path, writing past the table). Exhausting
+// the table through AllocateBlock takes about 400 MB of slabs, so only the
+// Reserve path is exercised here.
+TEST(SharedArenaTest, ReserveBeyondSlabTableThrows) {
+  constexpr size_t kCapacity =
+      SharedNodeArena::kMaxSlabs * SharedNodeArena::kSlabSlots;
+  SharedNodeArena arena(4);
+  EXPECT_THROW(arena.Reserve(kCapacity + 1), std::length_error);
+  EXPECT_EQ(arena.PhysicalCapacityBytes(), 0);
+  arena.Reserve(SharedNodeArena::kSlabSlots + 1);
+  EXPECT_EQ(arena.PhysicalCapacityBytes(),
+            static_cast<int64_t>(2 * SharedNodeArena::kSlabSlots *
+                                 sizeof(PooledNode)));
+  EXPECT_THROW(arena.Reserve(kCapacity + 1), std::length_error);
+  EXPECT_EQ(arena.PhysicalCapacityBytes(),
+            static_cast<int64_t>(2 * SharedNodeArena::kSlabSlots *
+                                 sizeof(PooledNode)));
 }
 
 // A tree on a shared arena must be indistinguishable — bytes and
