@@ -448,69 +448,27 @@ double CostCatalog::PredictSelectivity(CostedUdf* udf,
   return std::clamp(p.value, 0.01, 1.0);
 }
 
-void CostCatalog::PredictCostMicrosBatch(CostedUdf* udf,
-                                         std::span<const Point> model_points,
-                                         std::span<double> out) {
-  assert(model_points.size() == out.size());
-  if (model_points.empty()) return;
-  const PinnedEntry entry = Pin(udf);
-  entry->traffic.fetch_add(static_cast<int64_t>(model_points.size()),
-                          std::memory_order_relaxed);
-  std::vector<Prediction> cpu(model_points.size());
-  std::vector<Prediction> io(model_points.size());
-  entry->cpu_model->PredictBatch(model_points, cpu);
-  entry->io_model->PredictBatch(model_points, io);
-  for (size_t i = 0; i < model_points.size(); ++i) {
-    out[i] = cpu[i].value * kMicrosPerWorkUnit +
-             io[i].value * kMicrosPerPageMiss;
-  }
-}
-
-void CostCatalog::PredictSelectivityBatch(CostedUdf* udf,
-                                          std::span<const Point> model_points,
-                                          std::span<double> out) {
-  assert(model_points.size() == out.size());
-  if (model_points.empty()) return;
-  const PinnedEntry entry = Pin(udf);
-  entry->traffic.fetch_add(static_cast<int64_t>(model_points.size()),
-                          std::memory_order_relaxed);
-  std::vector<Prediction> predictions(model_points.size());
-  entry->selectivity_model->PredictBatch(model_points, predictions);
-  for (size_t i = 0; i < model_points.size(); ++i) {
-    const Prediction& p = predictions[i];
-    out[i] = (!p.reliable && p.count == 0) ? 0.5
-                                           : std::clamp(p.value, 0.01, 1.0);
-  }
-}
-
 namespace {
 
 // Combines independent CPU and IO predictions into one micros-denominated
 // estimate: value matches PredictCostMicros bit for bit; the stddev of a
 // sum of independently scaled estimates is the root-sum-square of the
-// scaled stddevs; support is the weaker of the two.
-CostEstimate CombineCostStats(const Prediction& cpu, const Prediction& io) {
-  CostEstimate e;
+// scaled stddevs; support (count, depth) is the weaker of the two.
+Prediction CombineCost(const Prediction& cpu, const Prediction& io) {
+  Prediction e;
   e.value = cpu.value * kMicrosPerWorkUnit + io.value * kMicrosPerPageMiss;
   const double cs = cpu.stddev * kMicrosPerWorkUnit;
   const double is = io.stddev * kMicrosPerPageMiss;
   e.stddev = std::sqrt(cs * cs + is * is);
+  e.depth = std::min(cpu.depth, io.depth);
   e.count = std::min(cpu.count, io.count);
   e.reliable = cpu.reliable && io.reliable;
   return e;
 }
 
-// Selectivity stats with the scalar path's clamp and fallback: an unknown
-// UDF answers the max-uncertainty prior (0.5 +/- 0.5, unsupported).
-CostEstimate SelectivityStats(const Prediction& p) {
-  if (!p.reliable && p.count == 0) return CostEstimate{0.5, 0.5, 0, false};
-  return CostEstimate{std::clamp(p.value, 0.01, 1.0), p.stddev, p.count,
-                      p.reliable};
-}
-
 // mlq_predict_stddev sample, in milli-units so sub-micro uncertainty does
 // not all collapse into the 0 bucket of the log2 histogram.
-void RecordStddevObs(const CostEstimate& e) {
+void RecordStddevObs(const Prediction& e) {
   obs::Core().predict_stddev.Record(
       static_cast<int64_t>(std::llround(e.stddev * 1000.0)));
 }
@@ -521,9 +479,9 @@ void RecordStddevObs(const CostEstimate& e) {
 // entry's fast/slow EWMAs track what executions actually did. When those
 // two horizons disagree by more than kWindowDisagreement the workload is
 // moving faster than the model converges, so the in-node variance
-// understates true uncertainty: the stats predictors fold the returned
-// disagreement into the stddev (root-sum-square, treating it as an
-// independent error source) and drop the reliable bit. A handful of
+// understates true uncertainty: the batch cost predictor folds the
+// returned disagreement into the stddev (root-sum-square, treating it as
+// an independent error source) and drops the reliable bit. A handful of
 // observations prove nothing, so the check arms only past
 // kMinWindowObservations.
 double CostCatalog::WindowedCostDisagreement(const Entry& entry) const {
@@ -543,46 +501,21 @@ double CostCatalog::WindowedCostDisagreement(const Entry& entry) const {
   return hi - lo;
 }
 
-CostEstimate CostCatalog::PredictCostStats(CostedUdf* udf,
-                                           const Point& model_point) {
-  const PinnedEntry entry = Pin(udf);
-  entry->traffic.fetch_add(1, std::memory_order_relaxed);
-  const Prediction cpu = entry->cpu_model->PredictDetailed(model_point);
-  const Prediction io = entry->io_model->PredictDetailed(model_point);
-  CostEstimate e = CombineCostStats(cpu, io);
-  const double disagreement = WindowedCostDisagreement(*entry);
-  if (disagreement > 0.0) {
-    e.stddev = std::sqrt(e.stddev * e.stddev + disagreement * disagreement);
-    e.reliable = false;
-  }
-  if (obs::Enabled()) RecordStddevObs(e);
-  return e;
-}
-
-CostEstimate CostCatalog::PredictSelectivityStats(CostedUdf* udf,
-                                                  const Point& model_point) {
-  const PinnedEntry entry = Pin(udf);
-  entry->traffic.fetch_add(1, std::memory_order_relaxed);
-  return SelectivityStats(
-      entry->selectivity_model->PredictDetailed(model_point));
-}
-
-void CostCatalog::PredictCostStatsBatch(CostedUdf* udf,
-                                        std::span<const Point> model_points,
-                                        std::span<CostEstimate> out) {
+void CostCatalog::PredictCostBatch(CostedUdf* udf,
+                                   std::span<const Point> model_points,
+                                   std::span<Prediction> out) {
   assert(model_points.size() == out.size());
   if (model_points.empty()) return;
   const PinnedEntry entry = Pin(udf);
   entry->traffic.fetch_add(static_cast<int64_t>(model_points.size()),
                           std::memory_order_relaxed);
-  std::vector<Prediction> cpu(model_points.size());
   std::vector<Prediction> io(model_points.size());
-  entry->cpu_model->PredictBatch(model_points, cpu);
+  entry->cpu_model->PredictBatch(model_points, out);
   entry->io_model->PredictBatch(model_points, io);
   const bool obs_on = obs::Enabled();
   const double disagreement = WindowedCostDisagreement(*entry);
   for (size_t i = 0; i < model_points.size(); ++i) {
-    out[i] = CombineCostStats(cpu[i], io[i]);
+    out[i] = CombineCost(out[i], io[i]);
     if (disagreement > 0.0) {
       out[i].stddev = std::sqrt(out[i].stddev * out[i].stddev +
                                 disagreement * disagreement);
@@ -592,18 +525,25 @@ void CostCatalog::PredictCostStatsBatch(CostedUdf* udf,
   }
 }
 
-void CostCatalog::PredictSelectivityStatsBatch(
-    CostedUdf* udf, std::span<const Point> model_points,
-    std::span<CostEstimate> out) {
+void CostCatalog::PredictSelectivityBatch(CostedUdf* udf,
+                                          std::span<const Point> model_points,
+                                          std::span<Prediction> out) {
   assert(model_points.size() == out.size());
   if (model_points.empty()) return;
   const PinnedEntry entry = Pin(udf);
   entry->traffic.fetch_add(static_cast<int64_t>(model_points.size()),
                           std::memory_order_relaxed);
-  std::vector<Prediction> predictions(model_points.size());
-  entry->selectivity_model->PredictBatch(model_points, predictions);
-  for (size_t i = 0; i < model_points.size(); ++i) {
-    out[i] = SelectivityStats(predictions[i]);
+  entry->selectivity_model->PredictBatch(model_points, out);
+  for (Prediction& p : out) {
+    // The scalar path's clamp and fallback: an unknown UDF answers the
+    // max-uncertainty prior (0.5 +/- 0.5, unsupported).
+    if (!p.reliable && p.count == 0) {
+      p = Prediction{};
+      p.value = 0.5;
+      p.stddev = 0.5;
+    } else {
+      p.value = std::clamp(p.value, 0.01, 1.0);
+    }
   }
 }
 

@@ -196,42 +196,29 @@ class CostCatalog {
   // cost formulas stay finite); 0.5 when nothing is known yet.
   double PredictSelectivity(CostedUdf* udf, const Point& model_point);
 
-  // Batched variants: out[i] corresponds to model_points[i], element-wise
-  // identical to the scalar calls. One entry lookup and one batched model
-  // call per underlying model instead of 2-3 virtual dispatches (plus, in
-  // the concurrent modes, lock round-trips) per point — the form the
-  // optimizer's stride-sampling estimators use.
-  void PredictCostMicrosBatch(CostedUdf* udf,
-                              std::span<const Point> model_points,
-                              std::span<double> out);
-  void PredictSelectivityBatch(CostedUdf* udf,
-                               std::span<const Point> model_points,
-                               std::span<double> out);
-
-  // --- Variance-aware prediction currency ----------------------------------
-  //
-  // Stats forms of the predictors above. Values are bit-identical to the
-  // scalar calls (same model probes, same arithmetic); the extra fields
-  // carry per-point uncertainty for risk-aware planning:
+  // Batched predictors in the Prediction currency, the form the
+  // optimizer, the join enumerator, the audit and the batched executor
+  // use: out[i] is the estimate at model_points[i]. One entry lookup and
+  // one batched model call per underlying model instead of 2-3 virtual
+  // dispatches (plus, in the concurrent modes, lock round-trips) per point.
+  // Each out[i].value is bit-identical to the scalar call above (same
+  // model probes, same arithmetic); the other fields carry per-point
+  // uncertainty for risk-aware planning:
   //   * cost: CPU and IO estimates combine as independent scaled terms —
   //     value = cpu*kMicrosPerWorkUnit + io*kMicrosPerPageMiss, stddev is
-  //     the root-sum-square of the scaled stddevs, count is the smaller
-  //     support, reliable requires both.
+  //     the root-sum-square of the scaled stddevs, count and depth are the
+  //     weaker support, reliable requires both. When the fast and slow
+  //     windows of OBSERVED costs disagree strongly (the workload is
+  //     moving), in-node variance understates true uncertainty, so the
+  //     windowed disagreement is folded into stddev and `reliable` is
+  //     dropped.
   //   * selectivity: the unknown-UDF fallback reports the max-uncertainty
   //     prior {0.5, stddev 0.5, count 0, unreliable}.
-  // Both cross-check against the entry's windowed actuals: when the fast
-  // and slow windows of OBSERVED outcomes disagree strongly (the workload
-  // is moving), in-node variance understates true uncertainty, so the
-  // windowed disagreement is folded into stddev and `reliable` is dropped.
-  CostEstimate PredictCostStats(CostedUdf* udf, const Point& model_point);
-  CostEstimate PredictSelectivityStats(CostedUdf* udf,
-                                       const Point& model_point);
-  void PredictCostStatsBatch(CostedUdf* udf,
-                             std::span<const Point> model_points,
-                             std::span<CostEstimate> out);
-  void PredictSelectivityStatsBatch(CostedUdf* udf,
-                                    std::span<const Point> model_points,
-                                    std::span<CostEstimate> out);
+  void PredictCostBatch(CostedUdf* udf, std::span<const Point> model_points,
+                        std::span<Prediction> out);
+  void PredictSelectivityBatch(CostedUdf* udf,
+                               std::span<const Point> model_points,
+                               std::span<Prediction> out);
 
   // Snapshot of the windowed actual-outcome EWMAs for `udf` (all zeros when
   // the UDF is unknown or has never executed).
@@ -455,10 +442,10 @@ class CostCatalog {
   // drift classification this outcome triggered.
   DriftKind UpdateWindowed(Entry& entry, const UdfCost& cost, bool passed);
 
-  // Cross-check input for the stats predictors: how far the entry's fast
-  // and slow windowed-actual cost EWMAs disagree (in micros), or 0 when
-  // the windows agree / lack support. Takes entry.windowed_mutex briefly;
-  // the batch predictors read it once per batch, not per point.
+  // Cross-check input for PredictCostBatch: how far the entry's fast and
+  // slow windowed-actual cost EWMAs disagree (in micros), or 0 when the
+  // windows agree / lack support. Takes entry.windowed_mutex briefly, once
+  // per batch, not per point.
   double WindowedCostDisagreement(const Entry& entry) const;
 
   // Forwards a non-kNone detector verdict to the registered scheduler.

@@ -123,16 +123,16 @@ PlanAudit AuditPlan(const Query& query, const Plan& plan,
       points.push_back(predicate->ModelPointFor(query.table->Row(row)));
     }
     if (!points.empty()) {
-      std::vector<double> costs(points.size());
-      std::vector<double> selectivities(points.size());
-      catalog.PredictCostMicrosBatch(predicate->udf(), points, costs);
+      std::vector<Prediction> costs(points.size());
+      std::vector<Prediction> selectivities(points.size());
+      catalog.PredictCostBatch(predicate->udf(), points, costs);
       catalog.PredictSelectivityBatch(predicate->udf(), points,
                                       selectivities);
       double cost_sum = 0.0;
       double selectivity_sum = 0.0;
       for (size_t s = 0; s < points.size(); ++s) {
-        cost_sum += costs[s];
-        selectivity_sum += selectivities[s];
+        cost_sum += costs[s].value;
+        selectivity_sum += selectivities[s].value;
       }
       const double samples = static_cast<double>(points.size());
       entry.post_cost_micros = cost_sum / samples;

@@ -198,13 +198,10 @@ ExecutionStats ExecuteQueryAdaptiveBatched(const Query& query,
   const size_t n = query.predicates.size();
   std::vector<int> order(n);
   std::vector<double> rank(n);
-  // Per-predicate probe buffers, reused across blocks. In risk-aware mode
-  // the stats batches fill `stats_scratch` and `costs` holds the
-  // risk-ADJUSTED per-point cost, so the ranking loop below is shared.
+  // Per-predicate probe buffers, reused across blocks.
   std::vector<std::vector<Point>> points(n);
-  std::vector<std::vector<double>> costs(n);
-  std::vector<std::vector<double>> selectivities(n);
-  std::vector<CostEstimate> stats_scratch;
+  std::vector<std::vector<Prediction>> costs(n);
+  std::vector<std::vector<Prediction>> selectivities(n);
   // Per-predicate feedback buffers, flushed once per block through
   // RecordExecutionBatch. Deferring feedback to block end cannot change
   // any decision: the block's probes are precomputed above, and each
@@ -226,27 +223,10 @@ ExecutionStats ExecuteQueryAdaptiveBatched(const Query& query,
       }
       costs[i].resize(block_size);
       selectivities[i].resize(block_size);
-      if (risk_aware) {
-        stats_scratch.resize(block_size);
-        catalog.PredictCostStatsBatch(query.predicates[i]->udf(), points[i],
-                                      stats_scratch);
-        for (size_t k = 0; k < block_size; ++k) {
-          const CostEstimate& e = stats_scratch[k];
-          const double denom = std::sqrt(
-              static_cast<double>(e.count > 0 ? e.count : 1));
-          costs[i][k] = e.value + risk_k * e.stddev / denom;
-        }
-        catalog.PredictSelectivityStatsBatch(query.predicates[i]->udf(),
-                                             points[i], stats_scratch);
-        for (size_t k = 0; k < block_size; ++k) {
-          selectivities[i][k] = stats_scratch[k].value;
-        }
-      } else {
-        catalog.PredictCostMicrosBatch(query.predicates[i]->udf(), points[i],
-                                       costs[i]);
-        catalog.PredictSelectivityBatch(query.predicates[i]->udf(), points[i],
-                                        selectivities[i]);
-      }
+      catalog.PredictCostBatch(query.predicates[i]->udf(), points[i],
+                               costs[i]);
+      catalog.PredictSelectivityBatch(query.predicates[i]->udf(), points[i],
+                                      selectivities[i]);
     }
     // Evaluation phase: same per-row ranking and short-circuiting as
     // ExecuteQueryAdaptive, reading the precomputed probes.
@@ -254,8 +234,14 @@ ExecutionStats ExecuteQueryAdaptiveBatched(const Query& query,
       const size_t k = static_cast<size_t>(row - block_begin);
       const auto row_values = query.table->Row(row);
       for (size_t i = 0; i < n; ++i) {
-        const double cost = costs[i][k];
-        rank[i] = cost > 0.0 ? (selectivities[i][k] - 1.0) / cost
+        // Risk-aware ranks pad the cost by risk_k standard errors.
+        const Prediction& c = costs[i][k];
+        const double cost =
+            risk_aware ? c.value + risk_k * c.stddev /
+                                       std::sqrt(static_cast<double>(
+                                           c.count > 0 ? c.count : 1))
+                       : c.value;
+        rank[i] = cost > 0.0 ? (selectivities[i][k].value - 1.0) / cost
                              : -std::numeric_limits<double>::infinity();
       }
       std::iota(order.begin(), order.end(), 0);

@@ -60,9 +60,9 @@ ExecutionStats ExecuteQueryAdaptive(const Query& query, CostCatalog& catalog);
 // the unbatched variant; only evaluation counts and cost may drift.
 //
 // `risk_k` > 0 ranks each row with risk-adjusted per-point costs
-// (mean + k * stddev / sqrt(count), from the catalog's stats batches)
-// instead of point estimates; risk_k = 0 keeps the classical per-row rank
-// and the scalar batch predictors — that path is untouched.
+// (mean + k * stddev / sqrt(count), from the same catalog batch
+// predictions) instead of point estimates; risk_k = 0 keeps the classical
+// per-row rank on the predictions' values.
 ExecutionStats ExecuteQueryAdaptiveBatched(const Query& query,
                                            CostCatalog& catalog,
                                            int block_rows = 64,

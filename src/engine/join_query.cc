@@ -32,13 +32,12 @@ PredicateEstimates EstimateOver(const UdfPredicate& predicate,
   for (int64_t row = 0; row < n; row += stride) {
     points.push_back(predicate.ModelPointFor(table.Row(row)));
   }
-  // Stats batches: .value matches the scalar batch predictors bit-for-bit,
-  // so the means below are unchanged; the stddevs are new information.
-  std::vector<CostEstimate> costs(points.size());
-  std::vector<CostEstimate> selectivities(points.size());
-  catalog.PredictCostStatsBatch(predicate.udf(), points, costs);
-  catalog.PredictSelectivityStatsBatch(predicate.udf(), points,
-                                       selectivities);
+  // .value matches the scalar predictors bit for bit; the stddevs carry
+  // the per-point uncertainty.
+  std::vector<Prediction> costs(points.size());
+  std::vector<Prediction> selectivities(points.size());
+  catalog.PredictCostBatch(predicate.udf(), points, costs);
+  catalog.PredictSelectivityBatch(predicate.udf(), points, selectivities);
   double cost = 0.0;
   double selectivity = 0.0;
   double cost_var = 0.0;

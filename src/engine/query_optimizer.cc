@@ -74,14 +74,12 @@ Plan PlanQuery(const Query& query, CostCatalog& catalog, int sample_rows,
       planned.estimated_selectivity = 0.5;
       return;
     }
-    // Stats batches instead of the scalar batches: .value is bit-identical
-    // to what PredictCostMicrosBatch / PredictSelectivityBatch return (same
-    // probes, same arithmetic), and the stddev/count ride along for free.
-    std::vector<CostEstimate> costs(points.size());
-    std::vector<CostEstimate> selectivities(points.size());
-    catalog.PredictCostStatsBatch(predicate->udf(), points, costs);
-    catalog.PredictSelectivityStatsBatch(predicate->udf(), points,
-                                         selectivities);
+    // .value is bit-identical to the scalar predictors; the stddev/count
+    // ride along from the same probes.
+    std::vector<Prediction> costs(points.size());
+    std::vector<Prediction> selectivities(points.size());
+    catalog.PredictCostBatch(predicate->udf(), points, costs);
+    catalog.PredictSelectivityBatch(predicate->udf(), points, selectivities);
     double cost_sum = 0.0;
     double selectivity_sum = 0.0;
     double cost_var_sum = 0.0;

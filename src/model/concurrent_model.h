@@ -24,11 +24,6 @@ class ConcurrentCostModel : public CostModel {
 
   std::string_view name() const override { return inner_->name(); }
 
-  double Predict(const Point& point) const override {
-    std::lock_guard<std::mutex> lock(mutex_, LockTimed());
-    return inner_->Predict(point);
-  }
-
   Prediction PredictDetailed(const Point& point) const override {
     std::lock_guard<std::mutex> lock(mutex_, LockTimed());
     return inner_->PredictDetailed(point);
@@ -40,18 +35,6 @@ class ConcurrentCostModel : public CostModel {
                     std::span<Prediction> out) const override {
     std::lock_guard<std::mutex> lock(mutex_, LockTimed());
     inner_->PredictBatch(points, out);
-  }
-
-  CostEstimate PredictStats(const Point& point) const override {
-    std::lock_guard<std::mutex> lock(mutex_, LockTimed());
-    return inner_->PredictStats(point);
-  }
-
-  // Like PredictBatch: the whole stats batch rides one lock acquisition.
-  void PredictStatsBatch(std::span<const Point> points,
-                         std::span<CostEstimate> out) const override {
-    std::lock_guard<std::mutex> lock(mutex_, LockTimed());
-    inner_->PredictStatsBatch(points, out);
   }
 
   void Observe(const Point& point, double actual_cost) override {

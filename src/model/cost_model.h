@@ -1,7 +1,6 @@
 #ifndef MLQ_MODEL_COST_MODEL_H_
 #define MLQ_MODEL_COST_MODEL_H_
 
-#include <cmath>
 #include <cstdint>
 #include <mutex>
 #include <span>
@@ -25,35 +24,6 @@ struct ModelUpdateBreakdown {
   double UpdateSeconds() const { return insert_seconds + compress_seconds; }
 };
 
-// The model-boundary prediction currency: a predicted value together with
-// the uncertainty the model can attach to it. The quadtree's stored
-// sum-of-squares makes stddev free for MLQ (sqrt(SSE/C) of the chosen
-// node, Fig. 3); other models report whatever coarser confidence they
-// have. `count` is the number of observations supporting the value (0 =
-// unsupported default) and `reliable` mirrors Prediction::reliable.
-//
-// Scalar Predict() remains the thin value-only shim — PredictStats().value
-// is exactly Predict(), bit for bit, so variance-blind callers are
-// unchanged while risk-aware ones (the optimizer's ordering, the join
-// enumerator) read the full estimate.
-struct CostEstimate {
-  double value = 0.0;
-  double stddev = 0.0;
-  int64_t count = 0;
-  bool reliable = false;
-
-  static CostEstimate FromPrediction(const Prediction& p) {
-    return CostEstimate{p.value, p.stddev, p.count, p.reliable};
-  }
-
-  // Half-width of the ~95% normal confidence interval on the value, given
-  // that it averages `count` observations. 0 when nothing supports it.
-  double ConfidenceHalfWidth() const {
-    if (count <= 0) return 0.0;
-    return 1.96 * stddev / std::sqrt(static_cast<double>(count));
-  }
-};
-
 // A UDF execution-cost model: maps a point in model-variable space to a
 // predicted cost (Section 3 of the paper). One instance models one cost
 // kind (CPU or disk IO) of one UDF.
@@ -61,6 +31,15 @@ struct CostEstimate {
 // Self-tuning models (MLQ) learn from Observe feedback delivered by the
 // execution engine after each UDF call; static models (SH) are trained
 // a-priori and ignore feedback.
+//
+// Predictions travel in one currency, Prediction: a value and the
+// uncertainty that comes with it from the same lookup (for MLQ, the
+// chosen node's S/C and sqrt(SSE/C), Fig. 3). Models implement two
+// prediction virtuals, PredictDetailed and PredictBatch; Predict is a
+// non-virtual value-only shim over PredictDetailed. The scalar virtual is
+// kept beside the batch one because batching is not free for every model:
+// ShardedCostModel::PredictBatch builds per-shard buckets on each call,
+// which a one-point probe should not pay.
 class CostModel {
  public:
   virtual ~CostModel() = default;
@@ -68,25 +47,18 @@ class CostModel {
   // Short display name, e.g. "MLQ-E", "SH-H".
   virtual std::string_view name() const = 0;
 
-  // Predicted cost at `point`. Never fails: models fall back to coarser
-  // information (up to a global average, or 0 when nothing is known).
-  virtual double Predict(const Point& point) const = 0;
+  // Prediction at `point`: the value together with the uncertainty the
+  // model can attach to it (stddev, supporting count, depth, reliability;
+  // see Prediction). Never fails: models fall back to coarser information
+  // (up to a global average, or 0 when nothing is known) and flag the
+  // fallback through `count`/`reliable`.
+  virtual Prediction PredictDetailed(const Point& point) const = 0;
 
-  // Prediction with confidence detail (supporting count, depth,
-  // reliability) for models that can provide it. The default wraps
-  // Predict in an unreliable zero-count Prediction, which callers that
-  // branch on `count`/`reliable` treat as "nothing known".
-  virtual Prediction PredictDetailed(const Point& point) const {
-    Prediction p;
-    p.value = Predict(point);
-    return p;
-  }
-
-  // Batched prediction: out[i] = PredictDetailed(points[i]), with
-  // `out.size() == points.size()`. Models that can amortize per-call costs
-  // over the batch (lock acquisition, shard dispatch, cache-resident tree
-  // descents) override this; the default is a plain loop, so batching is
-  // never worse than point-at-a-time.
+  // Batched prediction: out[i] = PredictDetailed(points[i]), field for
+  // field, with `out.size() == points.size()`. Models that can amortize
+  // per-call costs over the batch (lock acquisition, shard dispatch,
+  // cache-resident tree descents) override this; the default is a plain
+  // loop, so batching is never worse than point-at-a-time.
   virtual void PredictBatch(std::span<const Point> points,
                             std::span<Prediction> out) const {
     for (size_t i = 0; i < points.size(); ++i) {
@@ -94,27 +66,10 @@ class CostModel {
     }
   }
 
-  // Prediction with uncertainty, in the model-boundary currency. The
-  // default derives it from PredictDetailed, so PredictStats(p).value ==
-  // Predict(p) exactly for every model whose PredictDetailed wraps
-  // Predict (the interface contract — the differential tests enforce it).
-  // Models with richer internal state (MLQ trees, summary-triple buckets)
-  // override this to fill stddev/count natively.
-  virtual CostEstimate PredictStats(const Point& point) const {
-    return CostEstimate::FromPrediction(PredictDetailed(point));
-  }
-
-  // Batched form: out[i] = PredictStats(points[i]), with
-  // `out.size() == points.size()`. The default routes through PredictBatch
-  // so decorated models (one lock per batch, shard gather/scatter) keep
-  // their amortization; per-point stats are preserved element-wise.
-  virtual void PredictStatsBatch(std::span<const Point> points,
-                                 std::span<CostEstimate> out) const {
-    std::vector<Prediction> scratch(points.size());
-    PredictBatch(points, scratch);
-    for (size_t i = 0; i < points.size(); ++i) {
-      out[i] = CostEstimate::FromPrediction(scratch[i]);
-    }
+  // Value-only shim for variance-blind callers: exactly
+  // PredictDetailed(point).value, bit for bit.
+  double Predict(const Point& point) const {
+    return PredictDetailed(point).value;
   }
 
   // Query feedback: the actual cost observed at `point`. Static models

@@ -14,17 +14,16 @@ class GlobalAverageModel : public CostModel {
  public:
   std::string_view name() const override { return "GLOBAL-AVG"; }
 
-  double Predict(const Point& point) const override {
+  // The single summary triple: the model IS a one-node MLQ, so its global
+  // stddev/count are the honest uncertainty report.
+  Prediction PredictDetailed(const Point& point) const override {
     (void)point;
-    return summary_.Avg();
-  }
-
-  // Native stats from the single summary triple: the model IS a one-node
-  // MLQ, so its global stddev/count are the honest uncertainty report.
-  CostEstimate PredictStats(const Point& point) const override {
-    (void)point;
-    return CostEstimate{summary_.Avg(), summary_.Stddev(), summary_.count,
-                        summary_.count > 0};
+    Prediction p;
+    p.value = summary_.Avg();
+    p.stddev = summary_.Stddev();
+    p.count = summary_.count;
+    p.reliable = summary_.count > 0;
+    return p;
   }
 
   void Observe(const Point& point, double actual_cost) override {

@@ -26,10 +26,6 @@ MlqModel::MlqModel(std::unique_ptr<MemoryLimitedQuadtree> tree)
   name_ = NameFor(tree_->config().strategy);
 }
 
-double MlqModel::Predict(const Point& point) const {
-  return tree_->Predict(point).value;
-}
-
 void MlqModel::Observe(const Point& point, double actual_cost) {
   tree_->Insert(point, actual_cost);
 }

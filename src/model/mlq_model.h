@@ -26,7 +26,6 @@ class MlqModel : public CostModel {
   explicit MlqModel(std::unique_ptr<MemoryLimitedQuadtree> tree);
 
   std::string_view name() const override { return name_; }
-  double Predict(const Point& point) const override;
   void Observe(const Point& point, double actual_cost) override;
   void ObserveBatch(std::span<const Observation> batch) override {
     tree_->InsertBatch(batch);
@@ -50,7 +49,7 @@ class MlqModel : public CostModel {
   }
   ModelUpdateBreakdown update_breakdown() const override;
 
-  // Full prediction detail (depth, count, reliability).
+  // One descent; the stored sum-of-squares makes stddev free.
   Prediction PredictDetailed(const Point& point) const override {
     return tree_->Predict(point);
   }
@@ -59,21 +58,6 @@ class MlqModel : public CostModel {
   void PredictBatch(std::span<const Point> points,
                     std::span<Prediction> out) const override {
     tree_->PredictBatch(points, out);
-  }
-
-  // Native stats: the tree's stored sum-of-squares makes the full
-  // CostEstimate free — one descent, no extra work over Predict.
-  CostEstimate PredictStats(const Point& point) const override {
-    return CostEstimate::FromPrediction(tree_->Predict(point));
-  }
-
-  void PredictStatsBatch(std::span<const Point> points,
-                         std::span<CostEstimate> out) const override {
-    std::vector<Prediction> scratch(points.size());
-    tree_->PredictBatch(points, scratch);
-    for (size_t i = 0; i < points.size(); ++i) {
-      out[i] = CostEstimate::FromPrediction(scratch[i]);
-    }
   }
 
   const MemoryLimitedQuadtree& tree() const { return *tree_; }

@@ -57,29 +57,23 @@ double NeuralCostModel::Forward(const std::vector<double>& input,
   return output;
 }
 
-double NeuralCostModel::Predict(const Point& point) const {
-  if (observations_ == 0) return 0.0;
+Prediction NeuralCostModel::PredictDetailed(const Point& point) const {
+  Prediction p;
+  if (observations_ == 0) return p;
   std::vector<double> input;
   Normalize(point, &input);
   std::vector<double> hidden;
   const double standardized = Forward(input, &hidden);
-  const double stddev =
+  const double target_stddev =
       observations_ > 1
           ? std::sqrt(target_m2_ / static_cast<double>(observations_))
           : 1.0;
   // De-standardize; costs are non-negative.
-  return std::max(0.0, target_mean_ + standardized * stddev);
-}
-
-CostEstimate NeuralCostModel::PredictStats(const Point& point) const {
-  CostEstimate e;
-  e.value = Predict(point);
-  e.count = observations_;
-  e.reliable = observations_ > 0;
-  e.stddev = observations_ > 1
-                 ? std::sqrt(target_m2_ / static_cast<double>(observations_))
-                 : 0.0;
-  return e;
+  p.value = std::max(0.0, target_mean_ + standardized * target_stddev);
+  p.stddev = observations_ > 1 ? target_stddev : 0.0;
+  p.count = observations_;
+  p.reliable = true;
+  return p;
 }
 
 void NeuralCostModel::Observe(const Point& point, double actual_cost) {

@@ -44,21 +44,22 @@ int64_t OnlineGridModel::BucketIndexOf(const Point& point) const {
   return index;
 }
 
-double OnlineGridModel::Predict(const Point& point) const {
-  const SummaryTriple& bucket = buckets_[static_cast<size_t>(BucketIndexOf(point))];
-  if (bucket.Empty()) return global_.Avg();
-  return bucket.Avg();
-}
-
-CostEstimate OnlineGridModel::PredictStats(const Point& point) const {
+Prediction OnlineGridModel::PredictDetailed(const Point& point) const {
   const SummaryTriple& bucket =
       buckets_[static_cast<size_t>(BucketIndexOf(point))];
+  Prediction p;
   if (bucket.Empty()) {
-    // Global fallback, like Predict: report the global spread but flag the
-    // estimate as locally unsupported.
-    return CostEstimate{global_.Avg(), global_.Stddev(), 0, false};
+    // Global fallback: report the global spread but flag the estimate as
+    // locally unsupported.
+    p.value = global_.Avg();
+    p.stddev = global_.Stddev();
+    return p;
   }
-  return CostEstimate{bucket.Avg(), bucket.Stddev(), bucket.count, true};
+  p.value = bucket.Avg();
+  p.stddev = bucket.Stddev();
+  p.count = bucket.count;
+  p.reliable = true;
+  return p;
 }
 
 void OnlineGridModel::Observe(const Point& point, double actual_cost) {

@@ -110,10 +110,6 @@ void ShardedCostModel::DrainLocked(Shard& shard) const {
   shard.drain_buffer.clear();
 }
 
-double ShardedCostModel::Predict(const Point& point) const {
-  return PredictDetailed(point).value;
-}
-
 Prediction ShardedCostModel::PredictDetailed(const Point& point) const {
   Shard& shard = *shards_[static_cast<size_t>(ShardOf(point))];
   const bool obs_on = obs::Enabled();
@@ -155,23 +151,6 @@ void ShardedCostModel::PredictBatch(std::span<const Point> points,
     shard.predictions += static_cast<int64_t>(bucket.size());
     shard.model.PredictBatch(gathered, results);
     for (size_t k = 0; k < bucket.size(); ++k) out[bucket[k]] = results[k];
-  }
-}
-
-CostEstimate ShardedCostModel::PredictStats(const Point& point) const {
-  return CostEstimate::FromPrediction(PredictDetailed(point));
-}
-
-void ShardedCostModel::PredictStatsBatch(std::span<const Point> points,
-                                         std::span<CostEstimate> out) const {
-  assert(points.size() == out.size());
-  // Reuse the shard-bucketed batch descent — per-point stddev/count travel
-  // through the same gather/scatter, so out[i] is exactly
-  // PredictStats(points[i]) would have been (modulo drain interleaving).
-  std::vector<Prediction> scratch(points.size());
-  PredictBatch(points, scratch);
-  for (size_t i = 0; i < points.size(); ++i) {
-    out[i] = CostEstimate::FromPrediction(scratch[i]);
   }
 }
 

@@ -93,24 +93,15 @@ int64_t StaticHistogram::BucketIndexOf(const Point& point) const {
   return index;
 }
 
-double StaticHistogram::Predict(const Point& point) const {
-  if (!trained_) return 0.0;
-  const int64_t b = BucketIndexOf(point);
-  if (bucket_counts_[static_cast<size_t>(b)] == 0) {
-    // Empty bucket: fall back to the global training average.
-    return global_avg_;
-  }
-  return bucket_avgs_[static_cast<size_t>(b)];
-}
-
-CostEstimate StaticHistogram::PredictStats(const Point& point) const {
-  CostEstimate e;
-  e.value = Predict(point);
-  if (!trained_) return e;
-  const int64_t count = bucket_counts_[static_cast<size_t>(BucketIndexOf(point))];
-  e.count = count;
-  e.reliable = count > 0;
-  return e;
+Prediction StaticHistogram::PredictDetailed(const Point& point) const {
+  Prediction p;
+  if (!trained_) return p;
+  const auto b = static_cast<size_t>(BucketIndexOf(point));
+  p.count = bucket_counts_[b];
+  p.reliable = p.count > 0;
+  // Empty bucket: fall back to the global training average.
+  p.value = p.reliable ? bucket_avgs_[b] : global_avg_;
+  return p;
 }
 
 EquiWidthHistogram::EquiWidthHistogram(const Box& space,
@@ -239,22 +230,15 @@ int64_t InfluenceWeightedHistogram::BucketIndexOf(const Point& point) const {
   return index;
 }
 
-double InfluenceWeightedHistogram::Predict(const Point& point) const {
-  if (!trained_) return 0.0;
-  const int64_t b = BucketIndexOf(point);
-  if (bucket_counts_[static_cast<size_t>(b)] == 0) return global_avg_;
-  return bucket_avgs_[static_cast<size_t>(b)];
-}
-
-CostEstimate InfluenceWeightedHistogram::PredictStats(
+Prediction InfluenceWeightedHistogram::PredictDetailed(
     const Point& point) const {
-  CostEstimate e;
-  e.value = Predict(point);
-  if (!trained_) return e;
-  const int64_t count = bucket_counts_[static_cast<size_t>(BucketIndexOf(point))];
-  e.count = count;
-  e.reliable = count > 0;
-  return e;
+  Prediction p;
+  if (!trained_) return p;
+  const auto b = static_cast<size_t>(BucketIndexOf(point));
+  p.count = bucket_counts_[b];
+  p.reliable = p.count > 0;
+  p.value = p.reliable ? bucket_avgs_[b] : global_avg_;
+  return p;
 }
 
 EquiHeightHistogram::EquiHeightHistogram(const Box& space,

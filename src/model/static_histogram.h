@@ -33,12 +33,11 @@ class StaticHistogram : public CostModel {
   // interval boundaries, then the base aggregates bucket contents.
   void Train(std::span<const Point> points, std::span<const double> costs);
 
-  double Predict(const Point& point) const override;
-  // Stats default: value == Predict exactly; count is the serving bucket's
-  // training population; stddev stays 0 (buckets store averages, not
-  // second moments). reliable only when a non-empty bucket answered —
-  // the global-average fallback is flagged like MLQ's root fallback.
-  CostEstimate PredictStats(const Point& point) const override;
+  // The serving bucket's average; count is its training population and
+  // stddev stays 0 (buckets store averages, not second moments). An empty
+  // bucket answers the global training average with reliable = false,
+  // flagged like MLQ's root fallback.
+  Prediction PredictDetailed(const Point& point) const override;
   void Observe(const Point& point, double actual_cost) override {
     (void)point;
     (void)actual_cost;  // Static: not self-tuning.
@@ -143,9 +142,8 @@ class InfluenceWeightedHistogram : public CostModel {
   void Train(std::span<const Point> points, std::span<const double> costs);
 
   std::string_view name() const override { return "SH-V"; }
-  double Predict(const Point& point) const override;
-  // Same stats semantics as StaticHistogram::PredictStats.
-  CostEstimate PredictStats(const Point& point) const override;
+  // Same semantics as StaticHistogram::PredictDetailed.
+  Prediction PredictDetailed(const Point& point) const override;
   void Observe(const Point& point, double actual_cost) override {
     (void)point;
     (void)actual_cost;  // Static.

@@ -5,6 +5,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <ostream>
+#include <thread>
 
 namespace mlq {
 namespace obs {
@@ -99,15 +100,31 @@ void TraceRing::Record(TraceEventType type, int64_t ts_ns, int64_t dur_ns,
                        double a, double b) {
   const uint64_t ticket = next_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = slots_[ticket & mask_];
-  // Invalidate, fill, publish: a reader that observes seq == ticket + 1 with
-  // acquire order also observes the payload stores below.
-  slot.seq.store(0, std::memory_order_relaxed);
-  slot.type.store(static_cast<uint8_t>(type), std::memory_order_relaxed);
-  slot.tid.store(CurrentThreadId(), std::memory_order_relaxed);
-  slot.ts_ns.store(ts_ns, std::memory_order_relaxed);
-  slot.dur_ns.store(dur_ns, std::memory_order_relaxed);
-  slot.a.store(a, std::memory_order_relaxed);
-  slot.b.store(b, std::memory_order_relaxed);
+  // Claim the slot before touching its payload, so two writers whose
+  // tickets lap onto it never interleave their stores. A writer holding
+  // the claim is a few stores from done: wait it out. If a newer ticket
+  // already published here, this event is overwritten before it landed.
+  uint64_t seen = slot.seq.load(std::memory_order_relaxed);
+  do {
+    while (seen == kBusy) {
+      std::this_thread::yield();
+      seen = slot.seq.load(std::memory_order_relaxed);
+    }
+    if (seen > ticket) return;
+  } while (!slot.seq.compare_exchange_weak(seen, kBusy,
+                                           std::memory_order_relaxed));
+  // Release stores order the claim before each payload store: a reader
+  // that loads any of them (acquire) also sees the claim on its re-check
+  // (see Snapshot).
+  constexpr auto kRelease = std::memory_order_release;
+  slot.type.store(static_cast<uint8_t>(type), kRelease);
+  slot.tid.store(CurrentThreadId(), kRelease);
+  slot.ts_ns.store(ts_ns, kRelease);
+  slot.dur_ns.store(dur_ns, kRelease);
+  slot.a.store(a, kRelease);
+  slot.b.store(b, kRelease);
+  // Publish: a reader that observes seq == ticket + 1 with acquire order
+  // also observes the payload stores above.
   slot.seq.store(ticket + 1, std::memory_order_release);
 }
 
@@ -120,15 +137,17 @@ std::vector<TraceEvent> TraceRing::Snapshot() const {
   for (uint64_t i = begin; i < end; ++i) {
     const Slot& slot = slots_[i & mask_];
     if (slot.seq.load(std::memory_order_acquire) != i + 1) continue;
+    // Acquire loads pair with Record's release payload stores: if any of
+    // them reads a newer writer's store, the re-check below sees that
+    // writer's claim (or later) and discards the mixed copy.
+    constexpr auto kAcquire = std::memory_order_acquire;
     TraceEvent event;
-    event.type =
-        static_cast<TraceEventType>(slot.type.load(std::memory_order_relaxed));
-    event.tid = slot.tid.load(std::memory_order_relaxed);
-    event.ts_ns = slot.ts_ns.load(std::memory_order_relaxed);
-    event.dur_ns = slot.dur_ns.load(std::memory_order_relaxed);
-    event.a = slot.a.load(std::memory_order_relaxed);
-    event.b = slot.b.load(std::memory_order_relaxed);
-    // Discard the copy if a writer reclaimed the slot mid-read.
+    event.type = static_cast<TraceEventType>(slot.type.load(kAcquire));
+    event.tid = slot.tid.load(kAcquire);
+    event.ts_ns = slot.ts_ns.load(kAcquire);
+    event.dur_ns = slot.dur_ns.load(kAcquire);
+    event.a = slot.a.load(kAcquire);
+    event.b = slot.b.load(kAcquire);
     if (slot.seq.load(std::memory_order_relaxed) != i + 1) continue;
     out.push_back(event);
   }

@@ -41,18 +41,23 @@ struct TraceEvent {
   double b = 0.0;
 };
 
-// Fixed-capacity lock-free ring buffer of trace events.
+// Fixed-capacity ring buffer of trace events.
 //
-// Writers claim a slot with one relaxed fetch_add and publish it by storing
-// the ticket into the slot's sequence word with release order; when the
-// ring is full the oldest slot is silently overwritten (overwritten() keeps
-// count — drops are never silent in aggregate). Readers (Snapshot) validate
-// each slot's sequence before and after copying the payload and discard
-// slots that changed under them, so a snapshot taken while writers are
-// running yields only whole events. All slot fields are atomics: concurrent
-// Record/Snapshot is race-free by construction (TSan-clean), at the cost of
-// a vanishingly rare garbled event if a writer wraps the entire ring inside
-// another writer's claim/publish window.
+// Writers take a ticket with one relaxed fetch_add, claim the ticket's
+// slot by swapping its sequence word to a busy mark, fill it, and publish
+// it by storing ticket + 1 with release order; when the ring is full the
+// oldest slot is silently overwritten (overwritten() keeps count — drops
+// are never silent in aggregate). The claim serializes writers whose
+// tickets lap onto the same slot (a later writer waits for the claim to
+// clear; an earlier one that finds a newer event published gives up), so
+// a slot never holds a mix of two events. Payload fields are stored with
+// release and loaded with acquire order, so a reader that copies any part
+// of a newer writer's payload also sees that writer's claim. Readers
+// (Snapshot) validate each slot's sequence before and after copying the
+// payload and discard slots that changed under them: a snapshot taken
+// while writers are running yields only whole events.
+// All slot fields are atomics, so concurrent Record/Snapshot is race-free
+// by construction (TSan-clean).
 class TraceRing {
  public:
   // Capacity is rounded up to a power of two; default 64Ki events (~3 MB).
@@ -79,8 +84,12 @@ class TraceRing {
   void Clear();
 
  private:
+  // Sequence word of a slot a writer has claimed and is filling.
+  static constexpr uint64_t kBusy = ~uint64_t{0};
+
   struct Slot {
-    std::atomic<uint64_t> seq{0};  // ticket + 1 once published; 0 = empty.
+    // ticket + 1 once published; 0 = empty; kBusy while being written.
+    std::atomic<uint64_t> seq{0};
     std::atomic<uint8_t> type{0};
     std::atomic<int32_t> tid{0};
     std::atomic<int64_t> ts_ns{0};

@@ -21,7 +21,7 @@ struct PredicateEstimate {
   // Fraction of tuples that pass, in [0, 1].
   double selectivity = 1.0;
   // Uncertainty of the cost estimate (same unit as cost_per_tuple) and the
-  // number of observations supporting it, from the model's CostEstimate.
+  // number of observations supporting it, from the model's Prediction.
   // Defaults keep variance-blind callers working: 0 stddev / 0 support
   // makes the risk adjustment degenerate to the point estimate.
   double cost_stddev = 0.0;

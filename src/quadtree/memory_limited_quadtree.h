@@ -1,6 +1,7 @@
 #ifndef MLQ_QUADTREE_MEMORY_LIMITED_QUADTREE_H_
 #define MLQ_QUADTREE_MEMORY_LIMITED_QUADTREE_H_
 
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -25,7 +26,11 @@ struct Observation {
   double value = 0.0;
 };
 
-// Result of a point prediction (Fig. 3 of the paper).
+// Result of a point prediction (Fig. 3 of the paper). Also the one
+// prediction currency above the tree: every CostModel and the catalog's
+// batch predictors answer in it. Models without a node structure fill the
+// fields with whatever coarser support they have (bucket counts, a global
+// spread) and leave depth at 0.
 struct Prediction {
   // Predicted cost: the average stored in the chosen node.
   double value = 0.0;
@@ -40,6 +45,13 @@ struct Prediction {
   // False when even the root had fewer than beta points (including the
   // empty-tree case, where value is 0): the caller is on its own.
   bool reliable = false;
+
+  // Half-width of the ~95% normal confidence interval on the value, given
+  // that it averages `count` observations. 0 when nothing supports it.
+  double ConfidenceHalfWidth() const {
+    if (count <= 0) return 0.0;
+    return 1.96 * stddev / std::sqrt(static_cast<double>(count));
+  }
 };
 
 // Aggregate operation counters, exposed for the modeling-cost experiments

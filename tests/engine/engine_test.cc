@@ -335,15 +335,15 @@ TEST_F(EngineTest, CatalogBatchPredictionsMatchScalarCalls) {
   for (int64_t row = 0; row < 50; ++row) {
     points.push_back(win->ModelPointFor(table_.Row(row)));
   }
-  std::vector<double> batch_cost(points.size());
-  std::vector<double> batch_sel(points.size());
-  catalog.PredictCostMicrosBatch(win->udf(), points, batch_cost);
+  std::vector<Prediction> batch_cost(points.size());
+  std::vector<Prediction> batch_sel(points.size());
+  catalog.PredictCostBatch(win->udf(), points, batch_cost);
   catalog.PredictSelectivityBatch(win->udf(), points, batch_sel);
   for (size_t i = 0; i < points.size(); ++i) {
-    EXPECT_DOUBLE_EQ(batch_cost[i],
+    EXPECT_DOUBLE_EQ(batch_cost[i].value,
                      catalog.PredictCostMicros(win->udf(), points[i]))
         << "row " << i;
-    EXPECT_DOUBLE_EQ(batch_sel[i],
+    EXPECT_DOUBLE_EQ(batch_sel[i].value,
                      catalog.PredictSelectivity(win->udf(), points[i]))
         << "row " << i;
   }

@@ -1,6 +1,6 @@
 // Engine-layer tests for variance-aware planning: confidence fields on
 // Plan/PlannedPredicate, the k = 0 exact-reduction contract at the plan
-// level, the catalog's stats/scalar value identity, EXPLAIN's confidence
+// level, the catalog's batch/scalar value identity, EXPLAIN's confidence
 // output, audit confidence coverage, and the risk-aware join planner.
 
 #include <cmath>
@@ -149,39 +149,39 @@ TEST_F(RiskPlanTest, ExplainReportsConfidenceAndRisk) {
   EXPECT_NE(classical_text.find("+/-"), std::string::npos) << classical_text;
 }
 
-TEST_F(RiskPlanTest, CatalogStatsValueMatchesScalarBitwise) {
+TEST_F(RiskPlanTest, CatalogBatchValueMatchesScalarBitwise) {
   auto prox = MakeProxPredicate();
   auto win = MakeWinPredicate();
   const Query query = MakeQuery(prox.get(), win.get());
-  CostCatalog catalog(1800);
-  Warm(query, catalog);
+  for (const CatalogConcurrency mode :
+       {CatalogConcurrency::kSingleThread, CatalogConcurrency::kGlobalMutex,
+        CatalogConcurrency::kSharded}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    CostCatalog catalog(1800, mode);
+    Warm(query, catalog);
 
-  for (const UdfPredicate* predicate : {prox.get(), win.get()}) {
-    std::vector<Point> points;
-    for (int64_t row = 0; row < table_.num_rows(); row += 10) {
-      points.push_back(predicate->ModelPointFor(table_.Row(row)));
-    }
-    // Scalar/stats identity, point at a time. (Stddev may fold in the
-    // windowed-actuals cross-check; the VALUE must never move.)
-    for (const Point& p : points) {
-      const double scalar_cost =
-          catalog.PredictCostMicros(predicate->udf(), p);
-      EXPECT_EQ(catalog.PredictCostStats(predicate->udf(), p).value,
-                scalar_cost);
-      const double scalar_sel =
-          catalog.PredictSelectivity(predicate->udf(), p);
-      EXPECT_EQ(catalog.PredictSelectivityStats(predicate->udf(), p).value,
-                scalar_sel);
-    }
-    // Batched stats against batched scalar.
-    std::vector<double> cost_scalar(points.size());
-    std::vector<CostEstimate> cost_stats(points.size());
-    catalog.PredictCostMicrosBatch(predicate->udf(), points, cost_scalar);
-    catalog.PredictCostStatsBatch(predicate->udf(), points, cost_stats);
-    for (size_t i = 0; i < points.size(); ++i) {
-      EXPECT_EQ(cost_stats[i].value, cost_scalar[i]) << "point " << i;
-      EXPECT_FALSE(std::isnan(cost_stats[i].stddev));
-      EXPECT_GE(cost_stats[i].stddev, 0.0);
+    for (const UdfPredicate* predicate : {prox.get(), win.get()}) {
+      std::vector<Point> points;
+      for (int64_t row = 0; row < table_.num_rows(); row += 10) {
+        points.push_back(predicate->ModelPointFor(table_.Row(row)));
+      }
+      // The batch pair against the scalar predictors. (Stddev may fold in
+      // the windowed-actuals cross-check; the VALUE must never move.)
+      std::vector<Prediction> costs(points.size());
+      std::vector<Prediction> selectivities(points.size());
+      catalog.PredictCostBatch(predicate->udf(), points, costs);
+      catalog.PredictSelectivityBatch(predicate->udf(), points,
+                                      selectivities);
+      for (size_t i = 0; i < points.size(); ++i) {
+        EXPECT_EQ(costs[i].value,
+                  catalog.PredictCostMicros(predicate->udf(), points[i]))
+            << "point " << i;
+        EXPECT_EQ(selectivities[i].value,
+                  catalog.PredictSelectivity(predicate->udf(), points[i]))
+            << "point " << i;
+        EXPECT_FALSE(std::isnan(costs[i].stddev));
+        EXPECT_GE(costs[i].stddev, 0.0);
+      }
     }
   }
 }

@@ -1,8 +1,11 @@
-// Differential validation of the variance-aware prediction currency
-// (CostEstimate / PredictStats): the stats API must be a pure superset of
-// the scalar API. For every model and every concurrency decoration,
-// PredictStats(p).value must equal Predict(p) BIT FOR BIT — the refactor's
-// contract is that variance-blind callers observe no change whatsoever.
+// Differential validation of the prediction currency: every model answers
+// in Prediction, through two virtuals (PredictDetailed, PredictBatch), and
+// the value-only Predict shim must be a pure projection of them. For every
+// model and every concurrency decoration:
+//   * Predict(p) == PredictDetailed(p).value, BIT FOR BIT;
+//   * PredictBatch(points)[i] equals PredictDetailed(points[i]) field-wise.
+// The static baselines merged their value and uncertainty bodies into one
+// PredictDetailed, so they are inputs here alongside MLQ.
 //
 // Also regression-tests the stddev NaN fix: sqrt(SSE/C) on an empty
 // summary used to be sqrt(0/0) = NaN, and cancellation residue in SSE
@@ -10,6 +13,8 @@
 // robust spelling; these tests pin its edge cases.
 
 #include <cmath>
+#include <initializer_list>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,6 +24,7 @@
 #include "model/concurrent_model.h"
 #include "model/global_average_model.h"
 #include "model/mlq_model.h"
+#include "model/neural_model.h"
 #include "model/online_grid_model.h"
 #include "model/sharded_model.h"
 #include "model/static_histogram.h"
@@ -55,43 +61,39 @@ std::vector<Point> TrainingPoints(int n, uint64_t seed) {
   return points;
 }
 
-// Checks the scalar/stats identity on a trained model over a probe set:
-// value bit-identical, stddev finite and non-negative, count/reliable
-// consistent with PredictDetailed.
-void CheckStatsIdentity(const CostModel& model,
+// Checks the value-shim identity on a trained model over a probe set:
+// value bit-identical, stddev finite and non-negative, count and depth
+// non-negative.
+void CheckValueIdentity(const CostModel& model,
                         const std::vector<Point>& probes) {
   for (const Point& p : probes) {
     const double scalar = model.Predict(p);
-    const CostEstimate stats = model.PredictStats(p);
-    EXPECT_EQ(scalar, stats.value);  // Bitwise: == on identical doubles.
-    EXPECT_FALSE(std::isnan(stats.stddev));
-    EXPECT_GE(stats.stddev, 0.0);
-    EXPECT_GE(stats.count, 0);
     const Prediction detailed = model.PredictDetailed(p);
-    EXPECT_EQ(detailed.value, stats.value);
-    EXPECT_EQ(detailed.stddev, stats.stddev);
-    EXPECT_EQ(detailed.count, stats.count);
-    EXPECT_EQ(detailed.reliable, stats.reliable);
+    EXPECT_EQ(scalar, detailed.value);  // Bitwise: == on identical doubles.
+    EXPECT_FALSE(std::isnan(detailed.stddev));
+    EXPECT_GE(detailed.stddev, 0.0);
+    EXPECT_GE(detailed.count, 0);
+    EXPECT_GE(detailed.depth, 0);
   }
 }
 
-// Checks that the batched stats path is element-wise identical to the
-// batched scalar path.
+// Checks that the batched path is element-wise identical to the scalar
+// PredictDetailed, field for field.
 void CheckBatchIdentity(const CostModel& model,
                         const std::vector<Point>& probes) {
-  std::vector<Prediction> scalar(probes.size());
-  std::vector<CostEstimate> stats(probes.size());
-  model.PredictBatch(probes, scalar);
-  model.PredictStatsBatch(probes, stats);
+  std::vector<Prediction> batch(probes.size());
+  model.PredictBatch(probes, batch);
   for (size_t i = 0; i < probes.size(); ++i) {
-    EXPECT_EQ(scalar[i].value, stats[i].value) << "probe " << i;
-    EXPECT_EQ(scalar[i].stddev, stats[i].stddev) << "probe " << i;
-    EXPECT_EQ(scalar[i].count, stats[i].count) << "probe " << i;
-    EXPECT_EQ(scalar[i].reliable, stats[i].reliable) << "probe " << i;
+    const Prediction scalar = model.PredictDetailed(probes[i]);
+    EXPECT_EQ(batch[i].value, scalar.value) << "probe " << i;
+    EXPECT_EQ(batch[i].stddev, scalar.stddev) << "probe " << i;
+    EXPECT_EQ(batch[i].depth, scalar.depth) << "probe " << i;
+    EXPECT_EQ(batch[i].count, scalar.count) << "probe " << i;
+    EXPECT_EQ(batch[i].reliable, scalar.reliable) << "probe " << i;
   }
 }
 
-TEST(VarianceStatsTest, BareMlqScalarAndStatsAgreeBitwise) {
+TEST(VarianceStatsTest, BareMlqValueShimAgreesBitwise) {
   const Box space = Box::Cube(2, 0.0, 1000.0);
   const auto train = TrainingPoints(2000, 42);
   const auto probes = TrainingPoints(500, 777);
@@ -99,7 +101,7 @@ TEST(VarianceStatsTest, BareMlqScalarAndStatsAgreeBitwise) {
        {InsertionStrategy::kEager, InsertionStrategy::kLazy}) {
     MlqModel model(space, DiffConfig(strategy, 1800));
     for (const Point& p : train) model.Observe(p, Surface(p));
-    CheckStatsIdentity(model, probes);
+    CheckValueIdentity(model, probes);
     CheckBatchIdentity(model, probes);
   }
 }
@@ -112,7 +114,7 @@ TEST(VarianceStatsTest, ConcurrentDecorationPreservesIdentity) {
     model.Observe(p, Surface(p));
   }
   const auto probes = TrainingPoints(500, 777);
-  CheckStatsIdentity(model, probes);
+  CheckValueIdentity(model, probes);
   CheckBatchIdentity(model, probes);
 }
 
@@ -129,11 +131,11 @@ TEST(VarianceStatsTest, ShardedDecorationPreservesIdentity) {
   }
   model.Flush();
   const auto probes = TrainingPoints(500, 777);
-  CheckStatsIdentity(model, probes);
+  CheckValueIdentity(model, probes);
   CheckBatchIdentity(model, probes);
 }
 
-TEST(VarianceStatsTest, StatsValueTracksScalarUnderInterleaving) {
+TEST(VarianceStatsTest, ValueShimTracksDetailedUnderInterleaving) {
   // Mirrors the sharded differential harness: a mixed Observe/Predict
   // stream, checking the identity continuously as the tree reshapes
   // (splits, compressions) rather than only at the end.
@@ -145,7 +147,7 @@ TEST(VarianceStatsTest, StatsValueTracksScalarUnderInterleaving) {
     if (rng.NextDouble() < 0.6) {
       model.Observe(p, Surface(p));
     } else {
-      EXPECT_EQ(model.Predict(p), model.PredictStats(p).value);
+      EXPECT_EQ(model.Predict(p), model.PredictDetailed(p).value);
     }
   }
 }
@@ -194,19 +196,16 @@ TEST(VarianceStatsTest, EmptyTreePredictionHasZeroStddev) {
   const Prediction p = model.PredictDetailed(Point{500.0, 500.0});
   EXPECT_FALSE(std::isnan(p.stddev));
   EXPECT_DOUBLE_EQ(p.stddev, 0.0);
-  const CostEstimate e = model.PredictStats(Point{500.0, 500.0});
-  EXPECT_FALSE(std::isnan(e.stddev));
-  EXPECT_DOUBLE_EQ(e.stddev, 0.0);
 }
 
 // ---------------------------------------------------------------------------
-// Baseline models: the stats currency is honest where native, a safe
-// default elsewhere.
+// Baseline models: the currency is honest where native, a safe default
+// elsewhere.
 
 TEST(VarianceStatsTest, GlobalAverageReportsNativeStats) {
   GlobalAverageModel model;
   const Point p{1.0, 2.0};
-  const CostEstimate empty = model.PredictStats(p);
+  const Prediction empty = model.PredictDetailed(p);
   EXPECT_DOUBLE_EQ(empty.value, 0.0);
   EXPECT_DOUBLE_EQ(empty.stddev, 0.0);
   EXPECT_EQ(empty.count, 0);
@@ -214,12 +213,13 @@ TEST(VarianceStatsTest, GlobalAverageReportsNativeStats) {
 
   model.Observe(p, 10.0);
   model.Observe(p, 20.0);
-  const CostEstimate stats = model.PredictStats(p);
+  const Prediction stats = model.PredictDetailed(p);
   EXPECT_EQ(stats.value, model.Predict(p));
   EXPECT_DOUBLE_EQ(stats.value, 15.0);
   EXPECT_DOUBLE_EQ(stats.stddev, 5.0);  // Population stddev of {10, 20}.
   EXPECT_EQ(stats.count, 2);
   EXPECT_TRUE(stats.reliable);
+  CheckBatchIdentity(model, TrainingPoints(20, 5));
 }
 
 TEST(VarianceStatsTest, TrainedBaselinesKeepValueIdentity) {
@@ -229,30 +229,72 @@ TEST(VarianceStatsTest, TrainedBaselinesKeepValueIdentity) {
   costs.reserve(train.size());
   for (const Point& p : train) costs.push_back(Surface(p));
 
-  EquiWidthHistogram histogram(space, 1800);
-  histogram.Train(train, costs);
+  EquiWidthHistogram equi_width(space, 1800);
+  equi_width.Train(train, costs);
+  EquiHeightHistogram equi_height(space, 1800);
+  equi_height.Train(train, costs);
+  InfluenceWeightedHistogram influence(space, 1800);
+  influence.Train(train, costs);
   OnlineGridModel grid(space, 1800);
-  for (size_t i = 0; i < train.size(); ++i) grid.Observe(train[i], costs[i]);
+  NeuralCostModel neural(space, 1800);
+  for (size_t i = 0; i < train.size(); ++i) {
+    grid.Observe(train[i], costs[i]);
+    neural.Observe(train[i], costs[i]);
+  }
 
   const auto probes = TrainingPoints(200, 321);
-  for (const Point& p : probes) {
-    const CostEstimate h = histogram.PredictStats(p);
-    EXPECT_EQ(h.value, histogram.Predict(p));
-    EXPECT_FALSE(std::isnan(h.stddev));
-    EXPECT_GE(h.stddev, 0.0);
-    const CostEstimate g = grid.PredictStats(p);
-    EXPECT_EQ(g.value, grid.Predict(p));
-    EXPECT_FALSE(std::isnan(g.stddev));
-    EXPECT_GE(g.stddev, 0.0);
+  for (const CostModel* model : std::initializer_list<const CostModel*>{
+           &equi_width, &equi_height, &influence, &grid, &neural}) {
+    SCOPED_TRACE(std::string(model->name()));
+    CheckValueIdentity(*model, probes);
+    CheckBatchIdentity(*model, probes);
   }
 }
 
+TEST(VarianceStatsTest, BaselinesFlagFallbacksAsUnsupported) {
+  // Before any training or feedback every baseline answers its default
+  // with zero support; once trained, a supported answer is reliable.
+  const Box space = Box::Cube(2, 0.0, 1000.0);
+  EquiHeightHistogram equi_height(space, 1800);
+  InfluenceWeightedHistogram influence(space, 1800);
+  NeuralCostModel neural(space, 1800);
+  const Point p{500.0, 500.0};
+  for (const CostModel* model : std::initializer_list<const CostModel*>{
+           &equi_height, &influence, &neural}) {
+    SCOPED_TRACE(std::string(model->name()));
+    const Prediction cold = model->PredictDetailed(p);
+    EXPECT_DOUBLE_EQ(cold.value, 0.0);
+    EXPECT_EQ(cold.count, 0);
+    EXPECT_FALSE(cold.reliable);
+  }
+  const auto train = TrainingPoints(500, 9);
+  std::vector<double> costs;
+  for (const Point& q : train) costs.push_back(Surface(q));
+  equi_height.Train(train, costs);
+  influence.Train(train, costs);
+  for (size_t i = 0; i < train.size(); ++i) neural.Observe(train[i], costs[i]);
+  // Probe at training points: their buckets are populated by construction.
+  for (const CostModel* model : std::initializer_list<const CostModel*>{
+           &equi_height, &influence, &neural}) {
+    SCOPED_TRACE(std::string(model->name()));
+    const Prediction warm = model->PredictDetailed(train[0]);
+    EXPECT_GT(warm.count, 0);
+    EXPECT_TRUE(warm.reliable);
+  }
+  EXPECT_EQ(neural.PredictDetailed(p).count, 500);
+  EXPECT_GT(neural.PredictDetailed(p).stddev, 0.0);
+}
+
 TEST(VarianceStatsTest, ConfidenceHalfWidthShrinksWithSupport) {
-  CostEstimate none{10.0, 4.0, 0, false};
+  Prediction none;
+  none.value = 10.0;
+  none.stddev = 4.0;
   EXPECT_DOUBLE_EQ(none.ConfidenceHalfWidth(), 0.0);
-  CostEstimate one{10.0, 4.0, 1, true};
+  Prediction one = none;
+  one.count = 1;
   EXPECT_DOUBLE_EQ(one.ConfidenceHalfWidth(), 1.96 * 4.0);
-  CostEstimate four{10.0, 4.0, 4, true};
+  Prediction four = none;
+  four.count = 4;
   EXPECT_DOUBLE_EQ(four.ConfidenceHalfWidth(), 1.96 * 2.0);
   EXPECT_LT(four.ConfidenceHalfWidth(), one.ConfidenceHalfWidth());
 }

@@ -7,7 +7,10 @@
 # Default: both sanitizers. Under TSan the run is restricted to the suites
 # that exercise concurrency (plus the quadtree core they stress) to keep
 # the 5-15x TSan slowdown affordable; override with an explicit regex
-# (use '.' for everything). ASan runs the full suite.
+# (use '.' for everything). ASan runs the full suite. Both modes skip the
+# tests labelled `timing` (overhead-bound smoke benches): sanitizer
+# instrumentation inflates exactly what they time. The plain build runs
+# them.
 #
 # Exit status is non-zero when any build or any test (including a reported
 # race / memory error, which fails the test binary) fails.
@@ -31,11 +34,12 @@ run_one() {
         -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
   cmake --build "${build_dir}" -j "$(nproc)"
 
-  echo "=== ${sanitizer} sanitizer: ctest -R '${regex}' ==="
+  echo "=== ${sanitizer} sanitizer: ctest -R '${regex}' -LE timing ==="
   # halt_on_error makes any report fail the offending test immediately.
   TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
   ASAN_OPTIONS="halt_on_error=1 detect_leaks=1" \
-    ctest --test-dir "${build_dir}" --output-on-failure -R "${regex}"
+    ctest --test-dir "${build_dir}" --output-on-failure -R "${regex}" \
+          -LE timing
 }
 
 case "${MODE}" in
