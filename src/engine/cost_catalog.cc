@@ -573,56 +573,14 @@ std::vector<std::unique_lock<std::mutex>> CostCatalog::LockModelsLocked() {
   return locks;
 }
 
-CostCatalog::ArenaMaintenanceStats CostCatalog::CompactArenas() {
-  BusyScope busy(*this);
-  ArenaMaintenanceStats stats;
-  // The whole epoch runs under entries_mutex_ so no new models (or arenas)
-  // can appear mid-compaction. Per-entry feedback is flushed inline — NOT
-  // via FlushFeedback(), which would re-take this mutex — so the trees are
-  // quiescent before their node blocks move.
-  std::unique_lock<std::mutex> lock(entries_mutex_, std::defer_lock);
-  if (concurrency_ != CatalogConcurrency::kSingleThread) lock.lock();
-  ForEachResidentLocked(FlushEntry);
-  WallTimer pause;
-  {
-    const auto locks = LockModelsLocked();
-    for (auto& [fanout, arena] : arenas_) {
-      const SharedNodeArena::CompactionStats c = arena->Compact();
-      stats.physical_bytes_before += c.physical_bytes_before;
-      stats.physical_bytes_after += c.physical_bytes_after;
-      stats.bytes_reclaimed += c.bytes_reclaimed;
-      stats.blocks_moved += c.blocks_moved;
-      ++stats.arenas_compacted;
-    }
-  }
-  const auto pause_us = static_cast<int64_t>(pause.ElapsedMicros());
-  stats.steps = 1;
-  stats.max_pause_us = pause_us;
-  stats.total_pause_us = pause_us;
-  if (obs::Enabled()) {
-    obs::Core().maintenance_epochs.Inc();
-    obs::Core().maintenance_steps.Inc();
-    obs::Core().maintenance_pause_ns.Record(pause_us * 1000);
-    double max_frag = 0.0;
-    for (auto& [fanout, arena] : arenas_) {
-      max_frag = std::max(max_frag, arena->FragmentationRatio());
-    }
-    obs::Core().arena_fragmentation.Set(max_frag);
-    obs::GlobalEventLog().Append(obs::EventKind::kMaintenanceEpoch, "full",
-                                 /*a=*/0.0, static_cast<double>(pause_us),
-                                 static_cast<double>(stats.bytes_reclaimed));
-  }
-  return stats;
-}
-
 bool CostCatalog::CompactArenasStep(int64_t budget_slots,
                                     ArenaMaintenanceStats* stats) {
   BusyScope busy(*this);
   std::unique_lock<std::mutex> lock(entries_mutex_, std::defer_lock);
   if (concurrency_ != CatalogConcurrency::kSingleThread) lock.lock();
   // Flush before quiescing: queued feedback holds Points, not node
-  // indices, but applying it now keeps the trees identical to what a
-  // stop-the-world epoch would have produced at this instant.
+  // indices, but applying it now means the step sees every tree as the
+  // serving stack would at this instant.
   ForEachResidentLocked(FlushEntry);
   WallTimer pause;
   bool all_done = true;
@@ -651,7 +609,7 @@ bool CostCatalog::CompactArenasStep(int64_t budget_slots,
   return all_done;
 }
 
-CostCatalog::ArenaMaintenanceStats CostCatalog::CompactArenasIncremental(
+CostCatalog::ArenaMaintenanceStats CostCatalog::CompactArenas(
     int64_t budget_slots) {
   ArenaMaintenanceStats stats;
   stats.physical_bytes_before = ArenaPhysicalBytes();

@@ -121,16 +121,15 @@ class CostCatalog {
     bool passed = false;
   };
 
-  // Result of one maintenance epoch (stop-the-world CompactArenas or a
-  // CompactArenasIncremental run of bounded steps), summed over all of the
-  // catalog's shared arenas.
+  // Result of one maintenance epoch (a CompactArenas run of bounded steps),
+  // summed over all of the catalog's shared arenas.
   struct ArenaMaintenanceStats {
     int64_t physical_bytes_before = 0;
     int64_t physical_bytes_after = 0;
     int64_t bytes_reclaimed = 0;
     int64_t blocks_moved = 0;
     int arenas_compacted = 0;
-    // Quiesce windows taken: 1 for stop-the-world, >= 1 for incremental.
+    // Quiesce windows taken (>= 1; 1 when one step converged).
     int steps = 0;
     // Longest / cumulative single quiesce window (locks held) in micros —
     // the serving pause the epoch imposed.
@@ -251,27 +250,19 @@ class CostCatalog {
   // outside the catalog (e.g. PartitionedCostModel sub-models).
   std::shared_ptr<SharedNodeArena> ArenaForDims(int dims);
 
-  // Explicit maintenance epoch: flush all queued feedback, take every
-  // model's maintenance lock, and compact every shared arena — rewriting
-  // live node blocks contiguously and returning high-water slab memory.
-  // Blocks all predictions and feedback for the (short) duration; no
-  // prediction changes. Returns what was reclaimed.
-  ArenaMaintenanceStats CompactArenas();
-
-  // One bounded incremental compaction step: flush feedback, quiesce every
-  // model, and relocate at most `budget_slots` node slots per arena toward
-  // the dense layout, then release all locks. Serving proceeds between
-  // steps. Accumulates into *stats (steps, pauses, blocks moved, bytes
-  // reclaimed). Returns true once every arena is fully dense — at which
-  // point the physical footprint equals what stop-the-world CompactArenas
-  // would have produced, and predictions / serialized trees are identical.
+  // One bounded compaction step: flush feedback, quiesce every model, and
+  // run SharedNodeArena::CompactStep(budget_slots) on every shared arena,
+  // then release all locks. Serving proceeds between steps. Accumulates
+  // into *stats (steps, pauses, blocks moved, bytes reclaimed). Returns
+  // true once every arena is fully dense; predictions and serialized trees
+  // never change.
   bool CompactArenasStep(int64_t budget_slots, ArenaMaintenanceStats* stats);
 
-  // A full incremental epoch: loops CompactArenasStep until convergence,
-  // releasing every lock between steps so traffic interleaves with
-  // maintenance. Equivalent end state to CompactArenas() with the
-  // stop-the-world pause replaced by many bounded pauses.
-  ArenaMaintenanceStats CompactArenasIncremental(int64_t budget_slots);
+  // A maintenance epoch: loops CompactArenasStep until every arena is
+  // dense, releasing every lock between steps so traffic interleaves with
+  // maintenance, and returns what was reclaimed. A budget of
+  // std::numeric_limits<int64_t>::max() compacts in one quiesce window.
+  ArenaMaintenanceStats CompactArenas(int64_t budget_slots);
 
   // Snapshot of the scheduler-facing maintenance signals.
   ArenaSignals ReadArenaSignals() const;

@@ -120,9 +120,7 @@ CostCatalog::ArenaMaintenanceStats MaintenanceScheduler::RunEpochLocked(
   lock.unlock();
 
   const CostCatalog::ArenaMaintenanceStats epoch =
-      policy_.incremental
-          ? catalog_->CompactArenasIncremental(policy_.step_budget_slots)
-          : catalog_->CompactArenas();
+      catalog_->CompactArenas(policy_.step_budget_slots);
 
   lock.lock();
   running_ = false;

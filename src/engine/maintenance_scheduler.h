@@ -35,11 +35,8 @@ struct MaintenancePolicy {
   // compressions every batch) from turning every tick into an epoch.
   int64_t min_ticks_between_epochs = 8;
 
-  // Epoch mode: incremental (bounded CompactArenasStep pauses, traffic
-  // interleaves) or stop-the-world CompactArenas().
-  bool incremental = true;
-
-  // Per-step relocation budget in node slots for incremental epochs.
+  // Per-step relocation budget in node slots: an epoch is a run of
+  // bounded CompactArenasStep pauses, and traffic interleaves between them.
   int64_t step_budget_slots = 4096;
 
   // Summary-decay clock: advance the catalog's decay epochs by 1 every
@@ -73,7 +70,7 @@ struct MaintenanceSchedulerStats {
 // Self-driving arena maintenance: decides *when* the catalog compacts from
 // observable signals (compressions since the last epoch, arena
 // fragmentation, idle ticks) instead of requiring callers to place
-// CompactArenas() calls by hand.
+// CompactArenas calls by hand.
 //
 // The scheduler registers itself with the catalog on construction; the
 // serving stack then drives it through CostCatalog::MaintenanceTick() —
@@ -100,7 +97,7 @@ class MaintenanceScheduler {
   // at a point where the caller holds no model or catalog lock.
   void Tick();
 
-  // Forces an epoch now (policy mode still applies). For tools.
+  // Forces an epoch now (with the policy's step budget). For tools.
   CostCatalog::ArenaMaintenanceStats RunEpochNow();
 
   // Drift-detector callback (via CostCatalog::NotifyDriftDetected): ages

@@ -86,8 +86,8 @@ class CostModel {
     for (const Observation& o : batch) Observe(o.point, o.value);
   }
 
-  // Locks that quiesce this model for stop-the-world maintenance (shared
-  // arena compaction): once every returned lock is held, no thread can be
+  // Locks that quiesce this model for maintenance (one shared-arena
+  // compaction step): once every returned lock is held, no thread can be
   // inside the model holding node indices. Models without internal locking
   // return nothing — their owner is responsible for exclusivity, as with
   // any other call on a thread-compatible model.

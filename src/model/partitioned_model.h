@@ -73,7 +73,7 @@ class PartitionedCostModel {
 // blocks from `arena` (typically the owning catalog's, via ArenaForDims).
 // Without this, every FindOrCreate growth step would spin up a private
 // arena — hundreds of nominal keys each paying their own slab high-water —
-// instead of reusing the catalog slab that Compact() keeps tight. Each
+// instead of reusing the catalog slab that CompactStep() keeps tight. Each
 // sub-model still gets its own *logical* budget_bytes cap.
 PartitionedCostModel::ModelFactory MakeSharedArenaMlqFactory(
     const Box& space, const MlqConfig& base_config,

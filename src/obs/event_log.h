@@ -21,8 +21,8 @@ enum class EventKind : uint8_t {
   // a = DriftKind (1 gradual, 2 abrupt), b = fast/slow error ratio at the
   // firing, c = detector observations so far. label = model (UDF) name.
   kDriftFired = 0,
-  // a = 1 incremental / 0 full, b = total pause us, c = bytes reclaimed.
-  // label = "incremental" | "full".
+  // One CompactArenas epoch. a = 1, b = total pause us, c = bytes
+  // reclaimed. label = "incremental".
   kMaintenanceEpoch,
   // One SSEG compression pass on some tree. a = bytes freed, b = th_SSE
   // after the pass, c = nodes remaining.
@@ -33,8 +33,8 @@ enum class EventKind : uint8_t {
   kModelLoad,
   // Queued feedback flushed catalog-wide. a = models flushed.
   kModelFlush,
-  // One arena compaction pass (stop-the-world Compact or a converged
-  // incremental layout). a = blocks moved, b = bytes reclaimed.
+  // One CompactStep that reclaimed physical bytes. label = "step".
+  // a = blocks moved, b = bytes reclaimed.
   kArenaCompaction,
   // One catalog-governor rebalance. a = bytes granted to growing entries,
   // b = bytes reclaimed from shrinking entries, c = entries re-budgeted.

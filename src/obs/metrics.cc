@@ -408,8 +408,6 @@ CoreMetrics& Core() {
                      "Whole-batch feedback latency"),
       r.GetHistogram("mlq_observe_batch_points",
                      "Observations per feedback batch (log2 buckets)"),
-      r.GetHistogram("mlq_arena_compact_latency_ns",
-                     "Shared node-arena compaction pass latency"),
       r.GetHistogram("mlq_maintenance_pause_ns",
                      "Serving pause per maintenance quiesce window"),
       r.GetHistogram("mlq_predict_stddev",

@@ -239,9 +239,8 @@ struct CoreMetrics {
   // Batch SIZES, not latencies: the log2 bucketing doubles as a cheap
   // power-of-two size histogram.
   LatencyHistogram& observe_batch_points;  // mlq_observe_batch_points
-  LatencyHistogram& arena_compact_ns;  // mlq_arena_compact_latency_ns
-  // One maintenance quiesce window (locks held + compaction work) — the
-  // serving pause an epoch or an incremental step imposes.
+  // One maintenance quiesce window (locks held + one compaction step) —
+  // the serving pause a step imposes.
   LatencyHistogram& maintenance_pause_ns;  // mlq_maintenance_pause_ns
   // Per-prediction stddev of catalog cost estimates, recorded in
   // MILLI-units (log2 buckets) so sub-unit uncertainty stays visible: the

@@ -49,7 +49,7 @@ MemoryLimitedQuadtree::MemoryLimitedQuadtree(
   root_ = pool_.AllocateRoot();
   SyncBudget();
   counters_.nodes_created = 0;  // The root is not counted as "created".
-  // On a shared arena, Compact() relocates blocks and must patch this
+  // On a shared arena, CompactStep() relocates blocks and must patch this
   // tree's root index in place.
   if (pool_.shares_arena()) pool_.arena().RegisterRoot(&root_);
 }

@@ -88,7 +88,7 @@ class MemoryLimitedQuadtree {
 
   // Same, allocating nodes from a shared arena (fanout must equal 2^d)
   // instead of a private one. The tree registers its root with the arena so
-  // SharedNodeArena::Compact() can relocate it, and releases its blocks
+  // SharedNodeArena::CompactStep() can relocate it, and releases its blocks
   // back to the shared free-list on destruction. Logical budgeting is
   // unchanged — only the physical slabs are shared.
   MemoryLimitedQuadtree(const Box& space, const MlqConfig& config,

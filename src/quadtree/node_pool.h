@@ -31,7 +31,7 @@ namespace mlq {
 // total — arena-wide when the arena is shared.
 //
 // Node addresses are slab-stable: indices AND references stay valid across
-// arena growth (only SharedNodeArena::Compact() moves nodes).
+// arena growth (only SharedNodeArena::CompactStep() moves nodes).
 class NodePool {
  public:
   // `fanout` is 2^d: the number of slots per child block. When `arena` is

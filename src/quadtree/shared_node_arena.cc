@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <unordered_set>
@@ -135,95 +137,6 @@ int64_t SharedNodeArena::ReleaseTree(NodeIndex root) {
   return released;
 }
 
-SharedNodeArena::CompactionStats SharedNodeArena::Compact() {
-  const bool obs_on = obs::Enabled();
-  const int64_t t0 = obs_on ? obs::NowNs() : 0;
-  std::lock_guard<std::mutex> lock(mutex_);
-  CompactionStats stats;
-  stats.physical_bytes_before = physical_bytes_.load(std::memory_order_relaxed);
-
-  // Rewrite every registered tree into a fresh, dense slab sequence in
-  // pre-order (descent) order. Slab arrays never move once allocated, so
-  // references fetched from `new_node` stay valid across `alloc_block`.
-  std::vector<PooledNode*> new_slabs;
-  size_t new_bump = 0;
-  auto new_node = [&new_slabs](size_t index) -> PooledNode& {
-    return new_slabs[index >> kSlabShift][index & kSlabMask];
-  };
-  auto alloc_block = [&]() -> NodeIndex {
-    if (new_bump == new_slabs.size() * kSlabSlots) {
-      new_slabs.push_back(new PooledNode[kSlabSlots]);
-    }
-    const NodeIndex base = static_cast<NodeIndex>(new_bump);
-    new_bump += static_cast<size_t>(fanout_);
-    for (int q = 0; q < fanout_; ++q) MarkVacantSlot(new_node(base + q));
-    ++stats.blocks_moved;
-    return base;
-  };
-
-  std::vector<NodeIndex> stack;  // New-layout indices still to expand.
-  for (NodeIndex* root : roots_) {
-    const NodeIndex new_root = alloc_block();
-    new_node(new_root) = node(*root);
-    *root = new_root;
-    stack.push_back(new_root);
-    while (!stack.empty()) {
-      const NodeIndex at = stack.back();
-      stack.pop_back();
-      const NodeIndex old_base = new_node(at).first_child;
-      if (old_base == kInvalidNodeIndex) continue;
-      const NodeIndex new_base = alloc_block();
-      new_node(at).first_child = new_base;
-      for (int q = 0; q < fanout_; ++q) {
-        const PooledNode& old_child = node(old_base + static_cast<NodeIndex>(q));
-        if (old_child.index_in_parent != q) continue;
-        PooledNode& moved = new_node(new_base + static_cast<NodeIndex>(q));
-        moved = old_child;
-        moved.parent = at;
-        stack.push_back(new_base + static_cast<NodeIndex>(q));
-      }
-    }
-  }
-
-  // Install the dense layout, drop the old slabs and the free-list.
-  for (size_t s = 0; s < num_slabs_; ++s) {
-    delete[] slabs_[s].load(std::memory_order_relaxed);
-    slabs_[s].store(nullptr, std::memory_order_relaxed);
-  }
-  for (size_t s = 0; s < new_slabs.size(); ++s) {
-    slabs_[s].store(new_slabs[s], std::memory_order_release);
-  }
-  num_slabs_ = new_slabs.size();
-  bump_.store(new_bump, std::memory_order_relaxed);
-  free_head_ = kInvalidNodeIndex;
-  // Reserved blocks belong to the discarded layout, like the free-list.
-  compact_reserve_.clear();
-  free_count_.store(0, std::memory_order_relaxed);
-  const int64_t bytes =
-      static_cast<int64_t>(num_slabs_ * kSlabSlots * sizeof(PooledNode));
-  physical_bytes_.store(bytes, std::memory_order_relaxed);
-  peak_physical_bytes_.store(bytes, std::memory_order_relaxed);
-  compactions_.fetch_add(1, std::memory_order_relaxed);
-
-  stats.physical_bytes_after = bytes;
-  stats.bytes_reclaimed =
-      std::max<int64_t>(0, stats.physical_bytes_before - bytes);
-  if (obs_on) {
-    obs::CoreMetrics& core = obs::Core();
-    core.arena_compactions.Inc();
-    core.arena_compact_bytes_reclaimed.Inc(stats.bytes_reclaimed);
-    const int64_t dur = obs::NowNs() - t0;
-    core.arena_compact_ns.Record(dur);
-    MLQ_TRACE_EVENT(obs::TraceEventType::kCompress, t0, dur,
-                    static_cast<double>(stats.bytes_reclaimed),
-                    static_cast<double>(stats.blocks_moved));
-    obs::GlobalEventLog().Append(obs::EventKind::kArenaCompaction, "stw",
-                                 static_cast<double>(stats.blocks_moved),
-                                 static_cast<double>(stats.bytes_reclaimed));
-  }
-  return stats;
-}
-
 void SharedNodeArena::MoveBlockLocked(NodeIndex src, NodeIndex dest) {
   PooledNode* from = block(src);
   PooledNode* to = block(dest);
@@ -268,13 +181,18 @@ SharedNodeArena::CompactStepStats SharedNodeArena::CompactStep(
   // allocated or released since the previous step, hand the reserved blocks
   // back to the free-list and rebuild from scratch. (free_count_ covers
   // both structures, so the hand-back moves nothing in the accounting.)
-  if (reserve_epoch_ != mutation_epoch_ && !compact_reserve_.empty()) {
-    for (const NodeIndex base : compact_reserve_) {
+  if (reserve_epoch_ != mutation_epoch_ && reserved_count_ > 0) {
+    for (const NodeIndex base : reserve_heap_) {
+      if (!reserved_[base / fanout_]) continue;  // Absorbed by a trim.
+      reserved_[base / fanout_] = false;
       node(base).first_child = free_head_;
       free_head_ = base;
     }
-    compact_reserve_.clear();
+    reserve_heap_.clear();
+    reserved_count_ = 0;
   }
+  const size_t bump = bump_.load(std::memory_order_relaxed);
+  if (reserved_.size() < bump / fanout_) reserved_.resize(bump / fanout_);
 
   // A block is reclaimable iff every slot carries the vacancy marker; a
   // freshly filled destination reads as live automatically.
@@ -290,41 +208,31 @@ SharedNodeArena::CompactStepStats SharedNodeArena::CompactStep(
       std::max<int64_t>(1, budget_slots / static_cast<int64_t>(fanout_));
   // Free-list pops and bump-trim absorptions are budgeted alongside moves,
   // so a step's pause is proportional to budget_slots no matter how long
-  // the free-list or how wide the vacant tail.
-  const int64_t pop_budget = 4 * max_moves;
+  // the free-list or how wide the vacant tail. Saturates: an unbounded
+  // budget must not overflow into a negative one.
+  constexpr int64_t kMaxBudget = std::numeric_limits<int64_t>::max();
+  const int64_t pop_budget =
+      max_moves > kMaxBudget / 4 ? kMaxBudget : 4 * max_moves;
   int64_t pops = 0;
   int64_t absorbed = 0;
   bool absorb_budget_hit = false;
 
-  // Block bases this step relocated out of; the bump trim may pass them.
-  std::unordered_set<NodeIndex> moved_from;
-  int64_t top = static_cast<int64_t>(bump_.load(std::memory_order_relaxed)) -
-                static_cast<int64_t>(fanout_);
+  int64_t top = static_cast<int64_t>(bump) - static_cast<int64_t>(fanout_);
 
-  // Advances `top` past blocks this epoch has fully processed: blocks
-  // moved out by this step and reserved free blocks. A vacant block whose
+  // Advances `top` past reserved free blocks. A vacant block whose
   // free-list entry has not been popped yet stops the trim — the bump may
   // not pass a block that is still reachable from the free-list.
   auto trim = [&]() {
-    while (top >= 0) {
-      const auto base = static_cast<NodeIndex>(top);
-      if (moved_from.count(base) > 0) {
-        top -= fanout_;
-        continue;
+    while (top >= 0 && reserved_[static_cast<size_t>(top / fanout_)]) {
+      if (absorbed == pop_budget) {
+        absorb_budget_hit = true;
+        break;
       }
-      const auto it = compact_reserve_.find(base);
-      if (it != compact_reserve_.end()) {
-        if (absorbed == pop_budget) {
-          absorb_budget_hit = true;
-          break;
-        }
-        compact_reserve_.erase(it);
-        free_count_.fetch_sub(fanout_, std::memory_order_relaxed);
-        ++absorbed;
-        top -= fanout_;
-        continue;
-      }
-      break;
+      reserved_[static_cast<size_t>(top / fanout_)] = false;
+      --reserved_count_;
+      free_count_.fetch_sub(fanout_, std::memory_order_relaxed);
+      ++absorbed;
+      top -= fanout_;
     }
   };
 
@@ -333,14 +241,22 @@ SharedNodeArena::CompactStepStats SharedNodeArena::CompactStep(
     if (absorb_budget_hit || top < 0) break;
     if (stats.blocks_moved == max_moves || pops == pop_budget) break;
     const auto top_base = static_cast<NodeIndex>(top);
-    if (!block_vacant(top) && !compact_reserve_.empty() &&
-        *compact_reserve_.begin() < top_base) {
+    // The lowest reserved block. Heap entries of blocks the trim absorbed
+    // are stale but sort above every reserved block (the trim only absorbs
+    // the top, and every free block lies below it), so the heap's front is
+    // reserved whenever any block is.
+    const NodeIndex dest =
+        reserved_count_ == 0 ? kInvalidNodeIndex : reserve_heap_.front();
+    if (!block_vacant(top) && dest < top_base) {
       // Live top block, and a strictly lower hole to put it in.
-      const NodeIndex dest = *compact_reserve_.begin();
-      compact_reserve_.erase(compact_reserve_.begin());
+      std::pop_heap(reserve_heap_.begin(), reserve_heap_.end(),
+                    std::greater<>());
+      reserve_heap_.pop_back();
+      reserved_[dest / fanout_] = false;
+      --reserved_count_;
       free_count_.fetch_sub(fanout_, std::memory_order_relaxed);
       MoveBlockLocked(top_base, dest);
-      moved_from.insert(top_base);
+      top -= fanout_;  // The bump may pass the block just moved out.
       ++stats.blocks_moved;
       continue;
     }
@@ -352,7 +268,12 @@ SharedNodeArena::CompactStepStats SharedNodeArena::CompactStep(
     const NodeIndex base = free_head_;
     free_head_ = node(base).first_child;
     node(base).first_child = kInvalidNodeIndex;
-    compact_reserve_.insert(base);
+    if (reserved_count_ == 0) reserve_heap_.clear();  // Drop stale entries.
+    reserved_[base / fanout_] = true;
+    ++reserved_count_;
+    reserve_heap_.push_back(base);
+    std::push_heap(reserve_heap_.begin(), reserve_heap_.end(),
+                   std::greater<>());
     ++pops;
   }
 
@@ -369,14 +290,15 @@ SharedNodeArena::CompactStepStats SharedNodeArena::CompactStep(
       static_cast<int64_t>(num_slabs_ * kSlabSlots * sizeof(PooledNode));
   physical_bytes_.store(bytes, std::memory_order_relaxed);
   stats.bytes_reclaimed = std::max<int64_t>(0, bytes_before - bytes);
-  stats.done = free_head_ == kInvalidNodeIndex && compact_reserve_.empty();
+  stats.done = free_head_ == kInvalidNodeIndex && reserved_count_ == 0;
   reserve_epoch_ = mutation_epoch_;
   if (stats.done &&
       (stats.blocks_moved > 0 || absorbed > 0 || stats.bytes_reclaimed > 0)) {
     // A completed pass that actually did work counts as one compaction and
-    // resets the high-water mark, exactly like Compact().
+    // resets the high-water mark.
     peak_physical_bytes_.store(bytes, std::memory_order_relaxed);
     compactions_.fetch_add(1, std::memory_order_relaxed);
+    if (obs::Enabled()) obs::Core().arena_compactions.Inc();
   }
   if (obs::Enabled() && stats.bytes_reclaimed > 0) {
     obs::Core().arena_compact_bytes_reclaimed.Inc(stats.bytes_reclaimed);
@@ -411,10 +333,10 @@ bool SharedNodeArena::CheckConsistency(std::string* error) const {
   }
   // Blocks parked in the incremental-compaction reserve are free too: they
   // still count toward free_count_ and must stay fully vacant.
-  for (const NodeIndex base : compact_reserve_) {
-    if (base >= slots || base % fanout_ != 0) {
-      return fail("reserved block is not a valid block base");
-    }
+  for (size_t b = 0; b < reserved_.size(); ++b) {
+    if (!reserved_[b]) continue;
+    const auto base = static_cast<NodeIndex>(b * static_cast<size_t>(fanout_));
+    if (base >= slots) return fail("reserved block lies past the bump");
     if (!free_blocks.insert(base).second) {
       return fail("reserved block is also on the free-list");
     }

@@ -7,7 +7,6 @@
 #include <cstring>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -84,8 +83,8 @@ inline void MarkVacantSlot(PooledNode& n) {
 //
 // The arena tracks PHYSICAL bytes (slabs held) separately from each tree's
 // LOGICAL budget (Section 4.3 accounting, owned by MemoryLimitedQuadtree).
-// Physical high-water never shrinks on its own; Compact() below is the
-// explicit stop-the-world reclamation pass.
+// Physical high-water never shrinks on its own; CompactStep() below is the
+// explicit reclamation pass.
 class SharedNodeArena {
  public:
   static constexpr size_t kSlabShift = 11;
@@ -152,7 +151,7 @@ class SharedNodeArena {
     return physical_bytes_.load(std::memory_order_relaxed);
   }
   // High-water mark of PhysicalCapacityBytes() since construction (reset
-  // only by Compact()).
+  // only by a CompactStep that finishes a compaction).
   int64_t PeakPhysicalBytes() const {
     return peak_physical_bytes_.load(std::memory_order_relaxed);
   }
@@ -182,9 +181,9 @@ class SharedNodeArena {
     return static_cast<double>(free_count()) / static_cast<double>(slots);
   }
 
-  // Registers the location of a tree's root index so Compact() can both
-  // discover the live forest and patch roots after moving blocks. The
-  // pointee must stay at a stable address until UnregisterRoot.
+  // Registers the location of a tree's root index so CompactStep() can
+  // patch it after moving the root's block. The pointee must stay at a
+  // stable address until UnregisterRoot.
   void RegisterRoot(NodeIndex* root);
   void UnregisterRoot(NodeIndex* root);
 
@@ -193,22 +192,6 @@ class SharedNodeArena {
   // Returns the number of live nodes released; live_count() is debited.
   // Used by tree teardown on shared arenas.
   int64_t ReleaseTree(NodeIndex root);
-
-  struct CompactionStats {
-    int64_t physical_bytes_before = 0;
-    int64_t physical_bytes_after = 0;
-    int64_t bytes_reclaimed = 0;
-    int64_t blocks_moved = 0;
-  };
-
-  // Stop-the-world compaction: rewrites every registered tree's live blocks
-  // into a fresh, dense slab sequence in descent (pre-order) order, patches
-  // the registered root indices, empties the free-list and frees the old
-  // slabs. Callers MUST quiesce every tree on the arena first (e.g. via
-  // CostModel::LockForMaintenance); no reader or writer may hold a
-  // NodeIndex across this call. Slot indices change; serialized bytes and
-  // predictions do not.
-  CompactionStats Compact();
 
   struct CompactStepStats {
     int64_t blocks_moved = 0;
@@ -219,19 +202,20 @@ class SharedNodeArena {
     bool done = false;
   };
 
-  // Incremental compaction: performs at most O(budget_slots) bounded work
+  // The arena's compaction: performs at most O(budget_slots) bounded work
   // — relocating live blocks from the top of the arena into the lowest
   // reserved free blocks, in place — then trims the bump pointer and any
-  // now-empty tail slabs. Repeated calls converge to the same dense
-  // physical footprint as Compact() — block ORDER differs (bottom-fill vs
-  // pre-order rewrite), which serialized bytes and predictions are
-  // independent of.
+  // now-empty tail slabs. Repeated calls converge to the dense layout: no
+  // free slot below the bump, so the arena holds exactly the slabs its
+  // live blocks need. Slot indices change; serialized bytes and
+  // predictions do not. A budget of std::numeric_limits<int64_t>::max()
+  // runs a whole pass in one call (the budget arithmetic saturates).
   //
   // Every cost inside a step is budget-proportional, never O(free-list):
   // the step pops a bounded number of free-list entries into a persistent
-  // sorted reserve (compact_reserve_), consumes reserve entries as
+  // reserve (reserved_ / reserve_heap_), consumes reserve entries as
   // relocation destinations lowest-first, and absorbs a bounded number of
-  // reserved/moved-out blocks when lowering the bump. The reserve carries
+  // reserved blocks when lowering the bump. The reserve carries
   // over between steps; if the arena mutated in between (any allocation or
   // release), the reserve is handed back to the free-list and rebuilt.
   //
@@ -240,11 +224,12 @@ class SharedNodeArena {
   // their parent link re-pointed; a moved root is patched through its
   // registered root handle (RegisterRoot). All under the arena mutex.
   //
-  // Same quiesce contract as Compact() — no descent may be in flight —
-  // but held only for this step's bounded work, so a scheduler can
-  // interleave steps with serving traffic instead of stopping the world
-  // for the whole pass. compactions() is credited when a step both did
-  // work and finished the layout.
+  // Callers MUST quiesce every tree on the arena first (e.g. via
+  // CostModel::LockForMaintenance): no reader or writer may hold a
+  // NodeIndex across a step. The quiesce lasts only for this step's
+  // bounded work, so a scheduler can interleave steps with serving
+  // traffic. compactions() is credited when a step both did work and
+  // finished the layout.
   CompactStepStats CompactStep(int64_t budget_slots);
 
   // Structural self-check of the whole arena: block alignment, vacant/live
@@ -261,15 +246,22 @@ class SharedNodeArena {
 
   const int fanout_;
   mutable std::mutex mutex_;
-  // Fixed table of slab pointers; entries are append-only outside Compact().
+  // Fixed table of slab pointers; only CompactStep drops entries (tail
+  // slabs past the trimmed bump).
   std::unique_ptr<std::atomic<PooledNode*>[]> slabs_;
   size_t num_slabs_ = 0;                     // Guarded by mutex_.
   NodeIndex free_head_ = kInvalidNodeIndex;  // Block bases, LIFO; mutex_.
   std::vector<NodeIndex*> roots_;            // Guarded by mutex_.
-  // Incremental-compaction reserve (guarded by mutex_): free blocks popped
-  // off the free-list by CompactStep, held sorted as pending relocation
-  // destinations across steps. Entries still count toward free_count_.
-  std::set<NodeIndex> compact_reserve_;
+  // Compaction reserve (guarded by mutex_): free blocks popped off the
+  // free-list by CompactStep, held as pending relocation destinations
+  // across steps. reserved_ marks them by block number (base / fanout), so
+  // the bump trim tests the top block in O(1); reserve_heap_ is a min-heap
+  // of their bases for lowest-first consumption. Entries of blocks the trim
+  // absorbed stay in the heap, stale, until the reserve is next refilled
+  // from empty. Reserved blocks still count toward free_count_.
+  std::vector<bool> reserved_;
+  std::vector<NodeIndex> reserve_heap_;
+  int64_t reserved_count_ = 0;
   // Bumped by every block allocation/release (under mutex_); CompactStep
   // compares against reserve_epoch_ to detect mutations between steps.
   uint64_t mutation_epoch_ = 0;

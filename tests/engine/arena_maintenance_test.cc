@@ -1,13 +1,15 @@
 // Catalog-level tests for the shared arena and the batched feedback path:
 // RecordExecutionBatch must be indistinguishable from a RecordExecution
-// loop, CompactArenas must reclaim physical slab memory in every
-// concurrency mode without moving a single prediction, and
-// PartitionedCostModel sub-models built through MakeSharedArenaMlqFactory
-// must reuse the catalog slab instead of growing private arenas.
+// loop, a CompactArenas epoch must reclaim physical slab memory in every
+// concurrency mode without moving a single prediction or serialized byte,
+// and PartitionedCostModel sub-models built through
+// MakeSharedArenaMlqFactory must reuse the catalog slab instead of growing
+// private arenas.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
 #include <vector>
@@ -20,7 +22,11 @@
 #include "engine/table.h"
 #include "engine/udf_predicate.h"
 #include "eval/experiment_setup.h"
+#include "model/concurrent_model.h"
+#include "model/mlq_model.h"
 #include "model/partitioned_model.h"
+#include "model/serialization.h"
+#include "model/sharded_model.h"
 
 namespace mlq {
 namespace {
@@ -64,6 +70,29 @@ class ArenaMaintenanceTest : public ::testing::Test {
     return probes;
   }
 
+  // Serialized images of every tree behind `udf`'s three models, whichever
+  // concurrency wrapper the catalog put around them.
+  static std::vector<std::vector<uint8_t>> TreeImages(const CostCatalog& catalog,
+                                                      const CostedUdf* udf) {
+    const CostCatalog::Entry* entry = catalog.Find(udf);
+    std::vector<std::vector<uint8_t>> images;
+    for (CostModel* model : {entry->cpu_model.get(), entry->io_model.get(),
+                             entry->selectivity_model.get()}) {
+      if (auto* sharded = dynamic_cast<ShardedCostModel*>(model)) {
+        for (int s = 0; s < sharded->num_shards(); ++s) {
+          images.push_back(SerializeQuadtree(sharded->shard_model(s).tree()));
+        }
+        continue;
+      }
+      if (auto* wrapped = dynamic_cast<ConcurrentCostModel*>(model)) {
+        model = &wrapped->inner();
+      }
+      images.push_back(
+          SerializeQuadtree(dynamic_cast<const MlqModel&>(*model).tree()));
+    }
+    return images;
+  }
+
   RealUdfSuite suite_;
 };
 
@@ -104,9 +133,9 @@ TEST_F(ArenaMaintenanceTest, RecordExecutionBatchMatchesLoop) {
 }
 
 // The maintenance epoch: churn several UDFs' models (their trees compress
-// constantly at the paper's 1.8 KB budget), then CompactArenas. Physical
-// slab bytes must drop to the live forest's footprint and every prediction
-// must survive the move bit-for-bit.
+// constantly at the paper's 1.8 KB budget), then CompactArenas in bounded
+// steps. Physical slab bytes must drop to the live forest's footprint and
+// every prediction and serialized tree must survive the move bit-for-bit.
 TEST_F(ArenaMaintenanceTest, CompactArenasReclaimsAndPreservesPredictions) {
   for (const CatalogConcurrency mode :
        {CatalogConcurrency::kSingleThread, CatalogConcurrency::kGlobalMutex,
@@ -134,16 +163,25 @@ TEST_F(ArenaMaintenanceTest, CompactArenasReclaimsAndPreservesPredictions) {
       sel_before.push_back(catalog.PredictSelectivity(range, p));
     }
 
+    const std::vector<std::vector<uint8_t>> win_images =
+        TreeImages(catalog, win);
+    const std::vector<std::vector<uint8_t>> range_images =
+        TreeImages(catalog, range);
     const int64_t physical_before = catalog.ArenaPhysicalBytes();
-    const CostCatalog::ArenaMaintenanceStats stats = catalog.CompactArenas();
+    const CostCatalog::ArenaMaintenanceStats stats =
+        catalog.CompactArenas(/*budget_slots=*/256);
     // WIN and RANGE have different dimensionalities, so the catalog holds
     // (and compacts) one arena per fanout.
     EXPECT_EQ(stats.arenas_compacted, 2) << "mode " << static_cast<int>(mode);
+    EXPECT_GE(stats.steps, 1);
     EXPECT_EQ(stats.physical_bytes_before, physical_before);
     EXPECT_EQ(stats.physical_bytes_after, catalog.ArenaPhysicalBytes());
-    EXPECT_GE(stats.bytes_reclaimed, 0);
+    EXPECT_EQ(stats.bytes_reclaimed,
+              physical_before - catalog.ArenaPhysicalBytes());
     EXPECT_GT(stats.blocks_moved, 0);
-    EXPECT_LE(catalog.ArenaPhysicalBytes(), physical_before);
+    EXPECT_EQ(catalog.ReadArenaSignals().max_fragmentation, 0.0);
+    EXPECT_EQ(TreeImages(catalog, win), win_images);
+    EXPECT_EQ(TreeImages(catalog, range), range_images);
 
     for (size_t i = 0; i < win_probes.size(); ++i) {
       ASSERT_EQ(catalog.PredictCostMicros(win, win_probes[i]), cost_before[i])
@@ -164,7 +202,7 @@ TEST_F(ArenaMaintenanceTest, CompactArenasReclaimsAndPreservesPredictions) {
 
 // Compaction reclaims measurable memory after a real inflate-then-shrink
 // cycle: models from a big partitioned family are dropped, the slab
-// high-water stays, Compact returns it.
+// high-water stays, one unbounded CompactStep returns it.
 TEST_F(ArenaMaintenanceTest, PartitionedSubModelsReuseCatalogSlab) {
   CostCatalog catalog(1800);
   const Box space = Box::Cube(2, 0.0, 1000.0);
@@ -199,7 +237,9 @@ TEST_F(ArenaMaintenanceTest, PartitionedSubModelsReuseCatalogSlab) {
   const int64_t inflated = arena->PhysicalCapacityBytes();
   ASSERT_GT(inflated, 0);
 
-  const SharedNodeArena::CompactionStats stats = arena->Compact();
+  const SharedNodeArena::CompactStepStats stats =
+      arena->CompactStep(std::numeric_limits<int64_t>::max());
+  EXPECT_TRUE(stats.done);
   EXPECT_EQ(stats.bytes_reclaimed, inflated);
   EXPECT_EQ(arena->PhysicalCapacityBytes(), 0);
 

@@ -1,13 +1,14 @@
 // MaintenanceScheduler tests: the serving stack must trigger compaction
 // epochs autonomously (executor block boundaries and the sharded drain
 // hook both reach Tick()), policy triggers must fire and hold back as
-// configured, incremental epochs must land on the stop-the-world layout,
-// and the whole arrangement must stay clean under concurrent serving
-// traffic (this binary is a TSan tier-2 target).
+// configured, bounded-step epochs must land on the dense layout a single
+// unbounded step reaches, and the whole arrangement must stay clean under
+// concurrent serving traffic (this binary is a TSan tier-2 target).
 
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -23,6 +24,8 @@
 #include "engine/table.h"
 #include "engine/udf_predicate.h"
 #include "eval/experiment_setup.h"
+#include "model/mlq_model.h"
+#include "model/serialization.h"
 #include "quadtree/shared_node_arena.h"
 
 namespace mlq {
@@ -190,39 +193,96 @@ TEST_F(MaintenanceSchedulerTest, PolicyTriggersFireAndHoldBack) {
   }
 }
 
-// An incremental scheduler epoch must land the catalog on exactly the
-// layout (physical bytes) and predictions of a stop-the-world epoch run
-// on an identically fed twin.
-TEST_F(MaintenanceSchedulerTest, IncrementalEpochMatchesStopTheWorld) {
-  CostCatalog incremental_catalog(1800);
-  CostCatalog full_catalog(1800);
+// A bounded-step scheduler epoch must land the catalog on the layout a
+// one-step (unbounded) epoch reaches on an identically fed twin: no free
+// slot, and physical bytes equal to whole slabs for exactly the blocks the
+// trees themselves hold (one root block per tree plus one child block per
+// internal node). Trees and predictions are byte- and bit-identical across
+// the epoch.
+TEST_F(MaintenanceSchedulerTest, BoundedEpochMatchesUnboundedEpoch) {
+  CostCatalog bounded_catalog(1800);
+  CostCatalog unbounded_catalog(1800);
   CostedUdf* win = suite_.Find("WIN");
-  for (CostCatalog* catalog : {&incremental_catalog, &full_catalog}) {
+  for (CostCatalog* catalog : {&bounded_catalog, &unbounded_catalog}) {
     Churn(*catalog, win, 5000, 55);
     catalog->FlushFeedback();
   }
+  // kSingleThread catalog models are bare MlqModels.
+  auto trees_of = [win](const CostCatalog& catalog) {
+    const CostCatalog::Entry* entry = catalog.Find(win);
+    std::vector<const MemoryLimitedQuadtree*> trees;
+    for (const CostModel* model :
+         {entry->cpu_model.get(), entry->io_model.get(),
+          entry->selectivity_model.get()}) {
+      trees.push_back(&dynamic_cast<const MlqModel&>(*model).tree());
+    }
+    return trees;
+  };
+  auto images_of = [&trees_of](const CostCatalog& catalog) {
+    std::vector<std::vector<uint8_t>> images;
+    for (const MemoryLimitedQuadtree* tree : trees_of(catalog)) {
+      images.push_back(SerializeQuadtree(*tree));
+    }
+    return images;
+  };
+  const std::vector<std::vector<uint8_t>> images_before =
+      images_of(bounded_catalog);
+  ASSERT_EQ(images_of(unbounded_catalog), images_before);
+  const std::vector<Point> probes = ProbePoints(win, 300, 8);
+  std::vector<double> cost_before;
+  std::vector<double> sel_before;
+  for (const Point& p : probes) {
+    cost_before.push_back(bounded_catalog.PredictCostMicros(win, p));
+    sel_before.push_back(bounded_catalog.PredictSelectivity(win, p));
+  }
+  const int64_t bytes_before = bounded_catalog.ArenaPhysicalBytes();
 
-  MaintenancePolicy incremental_policy;
-  incremental_policy.incremental = true;
-  incremental_policy.step_budget_slots = 64;
-  MaintenanceScheduler incremental_scheduler(&incremental_catalog,
-                                             incremental_policy);
-  MaintenancePolicy full_policy;
-  full_policy.incremental = false;
-  MaintenanceScheduler full_scheduler(&full_catalog, full_policy);
+  MaintenancePolicy bounded_policy;
+  bounded_policy.step_budget_slots = 64;
+  MaintenanceScheduler bounded_scheduler(&bounded_catalog, bounded_policy);
+  MaintenancePolicy unbounded_policy;
+  unbounded_policy.step_budget_slots = std::numeric_limits<int64_t>::max();
+  MaintenanceScheduler unbounded_scheduler(&unbounded_catalog,
+                                           unbounded_policy);
+  const CostCatalog::ArenaMaintenanceStats bounded =
+      bounded_scheduler.RunEpochNow();
+  const CostCatalog::ArenaMaintenanceStats unbounded =
+      unbounded_scheduler.RunEpochNow();
+  EXPECT_GT(bounded.steps, 1);
+  EXPECT_EQ(unbounded.steps, 1);
+  EXPECT_EQ(bounded.bytes_reclaimed,
+            bytes_before - bounded_catalog.ArenaPhysicalBytes());
+  EXPECT_EQ(unbounded.bytes_reclaimed, bounded.bytes_reclaimed);
 
-  const CostCatalog::ArenaMaintenanceStats inc = incremental_scheduler.RunEpochNow();
-  const CostCatalog::ArenaMaintenanceStats full = full_scheduler.RunEpochNow();
-  EXPECT_GT(inc.steps, 1);
-  EXPECT_EQ(full.steps, 1);
-  EXPECT_EQ(inc.physical_bytes_after, full.physical_bytes_after);
-  EXPECT_EQ(incremental_catalog.ArenaPhysicalBytes(),
-            full_catalog.ArenaPhysicalBytes());
-  for (const Point& p : ProbePoints(win, 300, 8)) {
-    ASSERT_EQ(incremental_catalog.PredictCostMicros(win, p),
-              full_catalog.PredictCostMicros(win, p));
-    ASSERT_EQ(incremental_catalog.PredictSelectivity(win, p),
-              full_catalog.PredictSelectivity(win, p));
+  // Dense, by a count taken from the trees rather than from the arena.
+  const int dims = win->model_space().dims();
+  const int fanout = 1 << dims;
+  int64_t blocks = 0;
+  for (const MemoryLimitedQuadtree* tree : trees_of(bounded_catalog)) {
+    ++blocks;
+    tree->ForEachNode([&blocks](const NodeView& n, const Box&) {
+      if (!n.IsLeaf()) ++blocks;
+    });
+  }
+  const auto slab = static_cast<int64_t>(SharedNodeArena::kSlabSlots);
+  const int64_t dense = (blocks * fanout + slab - 1) / slab * slab *
+                        static_cast<int64_t>(sizeof(PooledNode));
+  EXPECT_EQ(bounded_catalog.ArenaPhysicalBytes(), dense);
+  EXPECT_EQ(unbounded_catalog.ArenaPhysicalBytes(), dense);
+  EXPECT_EQ(bounded_catalog.ArenaForDims(dims)->free_count(), 0);
+  EXPECT_EQ(unbounded_catalog.ArenaForDims(dims)->free_count(), 0);
+
+  EXPECT_EQ(images_of(bounded_catalog), images_before);
+  EXPECT_EQ(images_of(unbounded_catalog), images_before);
+  for (size_t i = 0; i < probes.size(); ++i) {
+    ASSERT_EQ(bounded_catalog.PredictCostMicros(win, probes[i]),
+              cost_before[i]);
+    ASSERT_EQ(unbounded_catalog.PredictCostMicros(win, probes[i]),
+              cost_before[i]);
+    ASSERT_EQ(bounded_catalog.PredictSelectivity(win, probes[i]),
+              sel_before[i]);
+    ASSERT_EQ(unbounded_catalog.PredictSelectivity(win, probes[i]),
+              sel_before[i]);
   }
 }
 

@@ -17,7 +17,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "engine/cost_catalog.h"
+#include "engine/maintenance_scheduler.h"
 #include "eval/experiment_setup.h"
 #include "obs/obs.h"
 
@@ -336,7 +338,7 @@ TEST_F(TelemetryTest, DriftScenarioJournalsEventsWithCorrectPayloads) {
     cost.cpu_work = 400.0 * (1.0 + 0.05 * std::sin(0.37 * i));
     catalog.RecordExecution(udf.get(), point, cost, (i % 3) == 0);
   }
-  catalog.CompactArenas();
+  catalog.CompactArenas(/*budget_slots=*/4096);
 
   const auto events = GlobalEventLog().Snapshot();
   const StructuredEvent* load = nullptr;
@@ -360,7 +362,8 @@ TEST_F(TelemetryTest, DriftScenarioJournalsEventsWithCorrectPayloads) {
   EXPECT_GE(drift->c, 4000.0);      // Fired at/after the stable era's end.
 
   ASSERT_NE(maintenance, nullptr);
-  EXPECT_EQ(maintenance->label_view(), "full");
+  EXPECT_EQ(maintenance->label_view(), "incremental");
+  EXPECT_DOUBLE_EQ(maintenance->a, 1.0);
   EXPECT_GE(maintenance->b, 0.0);  // Pause micros.
   EXPECT_GE(maintenance->c, 0.0);  // Bytes reclaimed.
 
@@ -379,6 +382,35 @@ TEST_F(TelemetryTest, DriftScenarioJournalsEventsWithCorrectPayloads) {
               1.0 / ((1.0 + health[0].windowed_nae) *
                      static_cast<double>(health[0].bytes)),
               1e-12);
+}
+
+// The compaction counter moves on the path serving runs: a scheduler epoch
+// of bounded steps over a fragmented catalog counts its finished pass in
+// mlq_arena_compactions_total.
+TEST_F(TelemetryTest, SchedulerEpochCountsArenaCompaction) {
+  CostCatalog catalog(/*memory_limit_bytes=*/1800);
+  auto udf = MakePaperSyntheticUdf(/*num_peaks=*/5, /*noise_probability=*/0.0,
+                                   /*seed=*/11);
+  const Box space = udf->model_space();
+  Rng rng(3);
+  for (int i = 0; i < 4000; ++i) {
+    Point p(space.dims());
+    for (int d = 0; d < space.dims(); ++d) {
+      p[d] = rng.Uniform(space.lo()[d], space.hi()[d]);
+    }
+    UdfCost cost;
+    cost.cpu_work = 100.0 + p[0];
+    catalog.RecordExecution(udf.get(), p, cost, (i % 3) == 0);
+  }
+  ASSERT_GT(catalog.ReadArenaSignals().max_fragmentation, 0.0);
+
+  MaintenanceScheduler scheduler(&catalog, MaintenancePolicy{});
+  scheduler.RunEpochNow();
+  EXPECT_EQ(catalog.ReadArenaSignals().max_fragmentation, 0.0);
+  EXPECT_GE(MetricsRegistry::Global()
+                .GetCounter("mlq_arena_compactions_total")
+                .Value(),
+            1);
 }
 
 TEST_F(TelemetryTest, HealthProviderFlowsIntoFramesAndSinks) {

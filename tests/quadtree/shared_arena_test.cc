@@ -4,13 +4,14 @@
 // behave exactly like trees on private arenas (same bytes, same
 // predictions); (2) compression churn in one tree recycles blocks for its
 // neighbours, and budget-boundary churn never corrupts the free-list;
-// (3) Compact() reclaims physical slab memory without changing any tree;
-// (4) the whole thing survives adversarial thread interleavings (the TSan
-// suite runs this file).
+// (3) an unbounded CompactStep() reclaims physical slab memory without
+// changing any tree; (4) the whole thing survives adversarial thread
+// interleavings (the TSan suite runs this file).
 
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -172,9 +173,9 @@ TEST(SharedArenaTest, TreeDestructionReturnsBlocks) {
   EXPECT_EQ(static_cast<int64_t>(arena->slot_count()), slots_before);
 }
 
-// Compact() must reclaim the high-water slab memory left behind by a
-// departed tenant and by compression churn — without moving any tree's
-// observable state.
+// A whole compaction pass (one unbounded CompactStep) must reclaim the
+// high-water slab memory left behind by a departed tenant and by
+// compression churn — without moving any tree's observable state.
 TEST(SharedArenaTest, CompactReclaimsWithoutChangingPredictions) {
   const Box space = Box::Cube(2, 0.0, 1000.0);
   auto arena = std::make_shared<SharedNodeArena>(4);
@@ -204,10 +205,13 @@ TEST(SharedArenaTest, CompactReclaimsWithoutChangingPredictions) {
   }
 
   const int64_t physical_before = arena->PhysicalCapacityBytes();
-  const SharedNodeArena::CompactionStats stats = arena->Compact();
-  EXPECT_EQ(stats.physical_bytes_before, physical_before);
+  const SharedNodeArena::CompactStepStats stats =
+      arena->CompactStep(std::numeric_limits<int64_t>::max());
+  EXPECT_TRUE(stats.done);
   EXPECT_GT(stats.bytes_reclaimed, 0);
-  EXPECT_LT(arena->PhysicalCapacityBytes(), physical_before);
+  EXPECT_EQ(arena->PhysicalCapacityBytes(),
+            physical_before - stats.bytes_reclaimed);
+  EXPECT_EQ(arena->free_count(), 0);
   EXPECT_EQ(arena->compactions(), 1);
 
   std::string error;

@@ -21,9 +21,8 @@
 //                     [--risk-k=0] [--sample-rows=32] [--budget=1800]
 //                     [--scale=small] [--json]
 //   mlq_tool maintenance [--udf=synth] [--n=20000] [--seed=42]
-//                     [--budget=1800] [--shards=4]
-//                     [--maintenance-policy=incremental|full]
-//                     [--step-slots=4096] [--json]
+//                     [--budget=1800] [--shards=4] [--step-slots=4096]
+//                     [--json]
 //   mlq_tool govern   [--models=48] [--tenants=3] [--n=30000] [--seed=42]
 //                     [--budget=1800] [--global-budget=BYTES] [--zipf=1.1]
 //                     [--max-resident=0] [--quota=tenant0=BYTES,...]
@@ -125,9 +124,7 @@ int Usage() {
                "[--risk-k=0] [--sample-rows=32] [--budget=1800] "
                "[--scale=small|full] [--json]\n"
                "  maintenance [--udf=synth] [--n=20000] [--seed=42] "
-               "[--budget=1800] [--shards=4] "
-               "[--maintenance-policy=incremental|full] [--step-slots=4096] "
-               "[--json]\n"
+               "[--budget=1800] [--shards=4] [--step-slots=4096] [--json]\n"
                "  govern   [--models=48] [--tenants=3] [--n=30000] "
                "[--seed=42] [--budget=1800] [--global-budget=BYTES] "
                "[--zipf=1.1] [--max-resident=0] "
@@ -615,9 +612,7 @@ int RunTelemetry(int argc, char** argv) {
   }
 
   CostCatalog catalog(budget, CatalogConcurrency::kSharded, shards);
-  MaintenancePolicy policy;
-  policy.incremental = true;
-  MaintenanceScheduler scheduler(&catalog, policy);
+  MaintenanceScheduler scheduler(&catalog, MaintenancePolicy{});
 
   obs::TelemetryExporterOptions options;
   options.interval_ms = interval_ms;
@@ -879,7 +874,8 @@ int RunPlan(int argc, char** argv) {
 }
 
 // Drives a sharded catalog to fragmentation with a captured workload, runs
-// one maintenance epoch (incremental by default), and reports what it did.
+// one maintenance epoch of --step-slots bounded steps, and reports what it
+// did.
 int RunMaintenance(int argc, char** argv) {
   const std::string udf_name = ArgValue(argc, argv, "udf", "synth");
   const int n = std::atoi(ArgValue(argc, argv, "n", "20000").c_str());
@@ -889,18 +885,13 @@ int RunMaintenance(int argc, char** argv) {
   const int64_t budget =
       std::atoll(ArgValue(argc, argv, "budget", "1800").c_str());
   const int shards = std::atoi(ArgValue(argc, argv, "shards", "4").c_str());
-  const std::string mode =
-      ArgValue(argc, argv, "maintenance-policy", "incremental");
   const int64_t step_slots =
       std::atoll(ArgValue(argc, argv, "step-slots", "4096").c_str());
   const bool json = HasFlag(argc, argv, "json");
   const SubstrateScale scale = ArgValue(argc, argv, "scale", "small") == "full"
                                    ? SubstrateScale::kFull
                                    : SubstrateScale::kSmall;
-  if (n <= 0 || step_slots <= 0 ||
-      (mode != "incremental" && mode != "full")) {
-    return Usage();
-  }
+  if (n <= 0 || step_slots <= 0) return Usage();
 
   std::unique_ptr<SyntheticUdf> synthetic;
   std::unique_ptr<RealUdfSuite> suite;
@@ -934,7 +925,6 @@ int RunMaintenance(int argc, char** argv) {
 
   const CostCatalog::ArenaSignals before = catalog.ReadArenaSignals();
   MaintenancePolicy policy;
-  policy.incremental = mode == "incremental";
   policy.step_budget_slots = step_slots;
   MaintenanceScheduler scheduler(&catalog, policy);
   const CostCatalog::ArenaMaintenanceStats stats = scheduler.RunEpochNow();
@@ -942,12 +932,12 @@ int RunMaintenance(int argc, char** argv) {
 
   if (json) {
     std::printf(
-        "{\"mode\": \"%s\", \"records\": %zu, \"tree_compressions\": %lld, "
+        "{\"records\": %zu, \"tree_compressions\": %lld, "
         "\"fragmentation_before\": %.4f, \"fragmentation_after\": %.4f, "
         "\"physical_bytes_before\": %lld, \"physical_bytes_after\": %lld, "
         "\"bytes_reclaimed\": %lld, \"blocks_moved\": %lld, \"arenas\": %d, "
         "\"steps\": %d, \"max_pause_us\": %lld, \"total_pause_us\": %lld}\n",
-        mode.c_str(), records.size(),
+        records.size(),
         static_cast<long long>(before.tree_compressions),
         before.max_fragmentation, after.max_fragmentation,
         static_cast<long long>(stats.physical_bytes_before),
@@ -958,8 +948,8 @@ int RunMaintenance(int argc, char** argv) {
         static_cast<long long>(stats.total_pause_us));
     return 0;
   }
-  std::printf("maintenance epoch (%s) over %zu records of %s:\n", mode.c_str(),
-              records.size(), std::string(udf->name()).c_str());
+  std::printf("maintenance epoch over %zu records of %s:\n", records.size(),
+              std::string(udf->name()).c_str());
   std::printf("  tree compressions observed: %lld\n",
               static_cast<long long>(before.tree_compressions));
   std::printf("  fragmentation: %.1f%% -> %.1f%%\n",
