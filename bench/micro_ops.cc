@@ -108,13 +108,7 @@ void BM_ModelPredictBatch(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * kBatch);
   state.SetLabel(std::to_string(model.tree().num_nodes()) + " nodes");
 }
-// Registered under its pre-single-currency name so BENCH_BASELINE.json keeps
-// tracking it.
-BENCHMARK(BM_ModelPredictBatch)
-    ->Name("BM_QuadtreePredictStatsBatch")
-    ->Arg(1800)
-    ->Arg(16384)
-    ->Arg(262144);
+BENCHMARK(BM_ModelPredictBatch)->Arg(1800)->Arg(16384)->Arg(262144);
 
 void BM_QuadtreeInsertEager(benchmark::State& state) {
   auto tree = FilledTree(state.range(0), InsertionStrategy::kEager);
@@ -145,7 +139,7 @@ void BM_QuadtreeInsertDecay(benchmark::State& state) {
   // an epoch) at the steady-state rate the maintenance scheduler produces.
   // Compare against BM_QuadtreeInsertLazy at the same budget: the gap is
   // the full decay feature cost, not just the disabled-path guard (that
-  // bound lives in bench/decay_overhead.cc).
+  // bound lives in `bench/overhead --case=decay`).
   MlqConfig config = ConfigWithBudget(state.range(0), InsertionStrategy::kLazy);
   config.decay_half_life = 8.0;
   auto tree = std::make_unique<MemoryLimitedQuadtree>(

@@ -202,11 +202,22 @@ ExecutionStats ExecuteQueryAdaptiveBatched(const Query& query,
   std::vector<std::vector<Point>> points(n);
   std::vector<std::vector<Prediction>> costs(n);
   std::vector<std::vector<Prediction>> selectivities(n);
-  // Per-predicate feedback buffers, flushed once per block through
+  // Per-UDF feedback buffers, flushed once per block through
   // RecordExecutionBatch. Deferring feedback to block end cannot change
-  // any decision: the block's probes are precomputed above, and each
-  // model's insert sequence is untouched (records stay in row order per
-  // predicate, and a model only ever receives its own UDF's feedback).
+  // any decision, because the block's probes are precomputed above. Each
+  // model's insert sequence is untouched too: predicates that share a UDF
+  // share one buffer (slot = the first predicate index with that UDF), so
+  // the buffer holds that UDF's records in evaluation order.
+  std::vector<size_t> feedback_slot(n);
+  for (size_t i = 0; i < n; ++i) {
+    feedback_slot[i] = i;
+    for (size_t j = 0; j < i; ++j) {
+      if (query.predicates[j]->udf() == query.predicates[i]->udf()) {
+        feedback_slot[i] = j;
+        break;
+      }
+    }
+  }
   std::vector<std::vector<CostCatalog::ExecutionRecord>> feedback(n);
 
   for (int64_t block_begin = 0; block_begin < stats.rows_in;
@@ -256,7 +267,7 @@ ExecutionStats ExecuteQueryAdaptiveBatched(const Query& query,
         const UdfPredicate::Outcome outcome = predicate->Evaluate(row_values);
         ++stats.evaluations_per_predicate[static_cast<size_t>(index)];
         stats.actual_cost_micros += outcome.cost.NominalMicros();
-        feedback[static_cast<size_t>(index)].push_back(
+        feedback[feedback_slot[static_cast<size_t>(index)]].push_back(
             {outcome.model_point, outcome.cost, outcome.passed});
         if (!outcome.passed) {
           row_passes = false;
@@ -265,8 +276,9 @@ ExecutionStats ExecuteQueryAdaptiveBatched(const Query& query,
       }
       if (row_passes) ++stats.rows_out;
     }
-    // Feedback phase: one batched delivery per predicate for the block.
+    // Feedback phase: one batched delivery per UDF for the block.
     for (size_t i = 0; i < n; ++i) {
+      if (feedback_slot[i] != i) continue;
       catalog.RecordExecutionBatch(query.predicates[i]->udf(), feedback[i]);
       feedback[i].clear();
     }

@@ -13,9 +13,8 @@ UdfPredicate::UdfPredicate(std::string name, CostedUdf* udf,
       constants_(constants),
       min_result_count_(min_result_count) {
   assert(udf_ != nullptr);
-  const int dims = udf_->model_space().dims();
-  assert(static_cast<int>(column_of_.size()) == dims);
-  assert(constants_.dims() == dims);
+  assert(static_cast<int>(column_of_.size()) == udf_->model_space().dims());
+  assert(constants_.dims() == udf_->model_space().dims());
 }
 
 Point UdfPredicate::ModelPointFor(std::span<const double> row) const {

@@ -9,9 +9,9 @@
 // common span shape.
 //
 // The contract every hook honours: with obs::Enabled() false the cost is
-// one relaxed atomic load and a branch — bench/obs_overhead holds this
-// under 2% of the hot-loop budget — and with MLQ_OBS_DISABLE_TRACING the
-// trace hooks vanish from the binary entirely.
+// one relaxed atomic load and a branch — `bench/overhead --case=obs` holds
+// this under 2% of the hot-loop budget — and with MLQ_OBS_DISABLE_TRACING
+// the trace hooks vanish from the binary entirely.
 
 #include "obs/event_log.h"
 #include "obs/metrics.h"

@@ -435,8 +435,8 @@ void MemoryLimitedQuadtree::InsertOne(const Point& point, double value,
   }
 
   // The decay guard is one double compare per touched node; the decay-off
-  // hot path is otherwise byte-for-byte the seed's (bench/decay_overhead
-  // holds the guard cost under 2%).
+  // hot path is otherwise byte-for-byte the seed's (`bench/overhead
+  // --case=decay` holds the guard cost under 2%).
   const bool decay_on = decay_enabled();
 
   NodeIndex cn = root_;

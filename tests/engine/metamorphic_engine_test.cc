@@ -11,10 +11,14 @@
 // checked in all three CatalogConcurrency modes. The row identities (not
 // just the count) are pinned by re-running on the oracle's result rows and
 // on their complement: the first must pass every row, the second none.
+// One relation is stronger than result rows: with one-row blocks the
+// batched executor must be indistinguishable from the per-row one, down to
+// the serialized trees, even when two predicates share a UDF.
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -27,6 +31,8 @@
 #include "engine/query_optimizer.h"
 #include "engine/table.h"
 #include "engine/udf_predicate.h"
+#include "model/mlq_model.h"
+#include "model/serialization.h"
 
 namespace mlq {
 namespace {
@@ -252,6 +258,57 @@ TEST_F(MetamorphicEngineTest, ResultRowsAreTheOracleRows) {
         EXPECT_EQ(s.rows_out, 0) << executor.name;
       }
     }
+  }
+}
+
+TEST_F(MetamorphicEngineTest, OneRowBlocksMatchAdaptiveWithSharedUdf) {
+  // B and B2 run the same UDF on different columns, so per row either may
+  // rank first; C runs a UDF of its own. With one-row blocks the batched
+  // executor probes exactly what ExecuteQueryAdaptive probes, so if its
+  // deferred feedback reaches each model in evaluation order, two passes
+  // on fresh catalogs agree on every stat and on every serialized tree.
+  const std::unique_ptr<UdfPredicate> b2 = Bind("B2", &steep_x_, "x", "v", 2);
+  Query query;
+  query.table = &table_;
+  query.predicates = {b_.get(), b2.get(), c_.get()};
+  struct Outcome {
+    std::vector<ExecutionStats> runs;
+    std::vector<std::vector<uint8_t>> trees;
+  };
+  const auto run = [&query](bool batched) {
+    CostCatalog catalog(1800, CatalogConcurrency::kSingleThread);
+    Outcome out;
+    for (int round = 0; round < 2; ++round) {
+      out.runs.push_back(batched ? ExecuteQueryAdaptiveBatched(
+                                       query, catalog, /*block_rows=*/1)
+                                 : ExecuteQueryAdaptive(query, catalog));
+    }
+    for (const CostedUdf* udf : {query.predicates[0]->udf(),
+                                 query.predicates[2]->udf()}) {
+      const CostCatalog::Entry* entry = catalog.Find(udf);
+      for (const CostModel* model :
+           {entry->cpu_model.get(), entry->io_model.get(),
+            entry->selectivity_model.get()}) {
+        // kSingleThread catalog models are bare MlqModels.
+        out.trees.push_back(
+            SerializeQuadtree(dynamic_cast<const MlqModel&>(*model).tree()));
+      }
+    }
+    return out;
+  };
+  const Outcome adaptive = run(false);
+  const Outcome batched = run(true);
+  for (size_t round = 0; round < 2; ++round) {
+    const ExecutionStats& a = adaptive.runs[round];
+    const ExecutionStats& b = batched.runs[round];
+    EXPECT_EQ(b.rows_out, a.rows_out) << "pass " << round;
+    EXPECT_EQ(b.evaluations_per_predicate, a.evaluations_per_predicate)
+        << "pass " << round;
+    EXPECT_EQ(b.actual_cost_micros, a.actual_cost_micros) << "pass " << round;
+  }
+  ASSERT_EQ(batched.trees.size(), adaptive.trees.size());
+  for (size_t t = 0; t < adaptive.trees.size(); ++t) {
+    EXPECT_EQ(batched.trees[t], adaptive.trees[t]) << "tree " << t;
   }
 }
 

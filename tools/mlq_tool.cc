@@ -73,6 +73,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -1236,19 +1237,50 @@ int RunSelfTest() {
   return 0;
 }
 
+// Each subcommand with the flags it reads; anything else on its command
+// line is rejected before it runs.
+struct Command {
+  std::string_view name;
+  int (*run)(int argc, char** argv);
+  std::vector<std::string_view> flags;
+};
+
 int Main(int argc, char** argv) {
+  static const Command kCommands[] = {
+      {"capture", RunCapture,
+       {"udf", "out", "n", "seed", "peaks", "scale", "dist"}},
+      {"replay", RunReplay,
+       {"trace", "metrics", "trace-out", "strategy", "budget", "beta",
+        "decay-half-life", "decay-epoch-every", "cost", "threads", "shards",
+        "model-out", "batch"}},
+      {"metrics", RunMetrics,
+       {"trace", "n", "seed", "strategy", "budget", "beta", "decay-half-life",
+        "cost", "interval", "json", "trace-out"}},
+      {"telemetry", RunTelemetry,
+       {"trace", "n", "seed", "budget", "shards", "interval", "prom-out",
+        "series-out", "events-out", "json"}},
+      {"inspect", RunInspect, {"model"}},
+      {"predict", RunPredict, {"model", "point"}},
+      {"plan", RunPlan,
+       {"rows", "seed", "train-queries", "risk-k", "sample-rows", "budget",
+        "scale", "json"}},
+      {"maintenance", RunMaintenance,
+       {"udf", "n", "seed", "peaks", "budget", "shards", "step-slots", "json",
+        "scale"}},
+      {"govern", RunGovern,
+       {"models", "tenants", "n", "seed", "budget", "global-budget", "zipf",
+        "max-resident", "quota", "json"}},
+      {"selftest", [](int, char**) { return RunSelfTest(); }, {}},
+  };
   if (argc < 2) return Usage();
-  const std::string command = argv[1];
-  if (command == "capture") return RunCapture(argc, argv);
-  if (command == "replay") return RunReplay(argc, argv);
-  if (command == "metrics") return RunMetrics(argc, argv);
-  if (command == "telemetry") return RunTelemetry(argc, argv);
-  if (command == "inspect") return RunInspect(argc, argv);
-  if (command == "predict") return RunPredict(argc, argv);
-  if (command == "plan") return RunPlan(argc, argv);
-  if (command == "maintenance") return RunMaintenance(argc, argv);
-  if (command == "govern") return RunGovern(argc, argv);
-  if (command == "selftest") return RunSelfTest();
+  for (const Command& command : kCommands) {
+    if (command.name != argv[1]) continue;
+    if (ReportUnknownArgs(argc, argv, command.flags, /*first=*/2)) {
+      Usage();
+      return 2;
+    }
+    return command.run(argc, argv);
+  }
   return Usage();
 }
 
