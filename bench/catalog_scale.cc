@@ -23,12 +23,16 @@
 //     back-to-back (detached, attached) pairs; the minimum pairwise delta
 //     must stay under 2% (noise only ever inflates a pair's delta).
 //  3. Rebalance amortization: a full rebalance (health scan + allocation +
-//     budget application) costs real microseconds. At the production
-//     cadence modeled here — one rebalance per 512*models serving ops,
-//     i.e. ticks_per_rebalance scaled with fleet size — the amortized
-//     per-op share must stay under 2%. Both sides of the ratio scale
-//     linearly with the fleet, so the verdict holds from 256 models to
-//     10k.
+//     budget application) costs real microseconds. Amortized over one
+//     rebalance per 512*models serving ops — ticks_per_rebalance scaled
+//     to 8*models ticks at 64 ops/tick — the per-op share must stay under
+//     2%. Both sides of the ratio scale linearly with the fleet, so the
+//     verdict holds from 256 models to 10k. That cadence is an assumption
+//     of this gate, not the library default: GovernorPolicy's
+//     ticks_per_rebalance is 16 ticks (1,024 ops at 64 ops/tick) whatever
+//     the fleet size, and that is what perfbench's catalog_fleet runs at
+//     512 models, where the rebalance cost is not amortized over the
+//     fleet and shows up directly in the traced `catalog.tick_share`.
 //  4. Lookup at fleet scale: a catalog predict over the whole fleet
 //     (Zipf ranks mapped to entries through a seeded permutation, so hot
 //     models sit anywhere in registration order) must cost within 1.5x of
@@ -38,7 +42,7 @@
 //
 // The accuracy phase itself runs an intentionally aggressive cadence (one
 // rebalance per 256 ops) so the allocation converges within the bench's op
-// budget; gate 3 is what licenses the slower production cadence.
+// budget; gate 3 bounds the cost of a fleet-scaled cadence only.
 //
 //   catalog_scale [--models=256] [--tenants=4] [--warm-ops=150000]
 //                 [--measure-ops=120000] [--overhead-ops=60000]
@@ -298,9 +302,9 @@ int Main(int argc, char** argv) {
   governed.scheduler->SetGovernor(nullptr);
   const bool tick_pass = tick_delta_pct < kBudgetPct;
 
-  // --- Gate 3: rebalance cost, amortized at the production cadence (one
+  // --- Gate 3: rebalance cost, amortized at a fleet-scaled cadence (one
   // rebalance per 512*models serving ops — ticks_per_rebalance scaled to
-  // 8*models at 64 ops/tick). Best of `repeats` rebalances on the warm
+  // 8*models at 64 ops/tick; the default is a fixed 16 ticks). Best of `repeats` rebalances on the warm
   // catalog: the first may still apply budget deltas left over from the
   // overhead legs, the rest measure the health scan + demand computation —
   // the fixed recurring term every cadence window pays whether or not

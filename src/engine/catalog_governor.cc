@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <tuple>
+#include <utility>
 
 #include "obs/obs.h"
 #include "quadtree/quadtree_config.h"
@@ -27,6 +29,14 @@ int CatalogGovernor::RebalanceNow() {
   return RebalanceLocked();
 }
 
+namespace {
+
+// Width of the evidence dead band in standard deviations of the share
+// estimate: a budget moves only on a 3-sigma disagreement.
+constexpr double kNoiseZ = 3.0;
+
+}  // namespace
+
 int CatalogGovernor::RebalanceLocked() {
   if (policy_.global_budget_bytes <= 0) return 0;
   // The health read takes the catalog's entries_mutex_; this governor's
@@ -44,35 +54,48 @@ int CatalogGovernor::RebalanceLocked() {
       std::max<int64_t>(policy_.min_entry_bytes, 3 * kNodeBaseBytes);
   const int64_t global = policy_.global_budget_bytes;
 
-  // 1. Demand scores: traffic share since the previous rebalance, boosted
-  // by the error signals. The DELTA matters — lifetime traffic would keep
-  // yesterday's hot models fat forever.
+  // 1. Evidence. The per-entry increment since the previous rebalance
+  // feeds the running total (and the LRU order of admission control).
   std::vector<int64_t> traffic_delta(n, 0);
   int64_t total_delta = 0;
   for (size_t i = 0; i < n; ++i) {
-    const auto it = traffic_at_last_rebalance_.find(udfs[i]);
-    const int64_t prev =
-        it == traffic_at_last_rebalance_.end() ? 0 : it->second;
+    const auto it = windows_.find(udfs[i]);
+    const int64_t prev = it == windows_.end() ? 0 : it->second.last_traffic;
     traffic_delta[i] = std::max<int64_t>(health[i].traffic - prev, 0);
     total_delta += traffic_delta[i];
   }
   // No traffic since the last rebalance means no new evidence: moving
-  // budget now would redistribute toward a uniform split (the zero-delta
+  // budget now would redistribute toward a uniform split (the zero-traffic
   // fallback below) and thrash compression for nothing, so hold the
   // current allocation. A catalog that has NEVER served reads all-zero
   // lifetime traffic and parks here too, which is fine — allocations only
   // matter once predictions flow, and the first served op unblocks the
   // next rebalance.
-  if (total_delta == 0 && !traffic_at_last_rebalance_.empty()) return 0;
+  if (total_delta == 0 && !windows_.empty()) return 0;
+  // An entry seen for the first time opens its window at the previous
+  // rebalance, with all of its lifetime traffic as evidence.
+  const int64_t total_before = total_traffic_;
+  total_traffic_ += total_delta;
+  std::vector<EvidenceWindow*> window(n);
+  std::vector<int64_t> hits(n, 0);
+  for (size_t i = 0; i < n; ++i) {
+    const auto [it, fresh] = windows_.try_emplace(udfs[i]);
+    if (fresh) it->second.start_total = total_before;
+    window[i] = &it->second;
+    hits[i] = std::max<int64_t>(health[i].traffic - it->second.start_traffic, 0);
+  }
+
+  // Demand scores: traffic share over the entry's window, boosted by the
+  // error signals.
   std::vector<double> demand(n, 0.0);
   double total_demand = 0.0;
   for (size_t i = 0; i < n; ++i) {
     const obs::ModelHealth& h = health[i];
+    const int64_t window_traffic = total_traffic_ - window[i]->start_total;
     const double share =
-        total_delta > 0
-            ? static_cast<double>(traffic_delta[i]) /
-                  static_cast<double>(total_delta)
-            : 1.0 / static_cast<double>(n);
+        window_traffic > 0 ? static_cast<double>(hits[i]) /
+                                 static_cast<double>(window_traffic)
+                           : 1.0 / static_cast<double>(n);
     const double error_boost =
         1.0 + policy_.error_weight * std::max(h.windowed_nae, 0.0);
     const double staleness_boost =
@@ -84,24 +107,28 @@ int CatalogGovernor::RebalanceLocked() {
   // 2. Proportional targets over the pool above the floors. When the
   // floors alone exceed the global budget the pool is empty and every
   // entry gets an equal split instead (the floor is a goal, conservation
-  // is the invariant).
+  // is the invariant). `proportional` keeps the unclamped target: the
+  // noise band below is a property of the share estimate, not of the
+  // step clamp.
   const int64_t sum_floors = floor_bytes * static_cast<int64_t>(n);
+  std::vector<int64_t> proportional(n, 0);
   std::vector<int64_t> target(n, 0);
   if (sum_floors >= global) {
     const int64_t equal = global / static_cast<int64_t>(n);
+    std::fill(proportional.begin(), proportional.end(), equal);
     std::fill(target.begin(), target.end(), equal);
   } else {
     const double pool = static_cast<double>(global - sum_floors);
     for (size_t i = 0; i < n; ++i) {
       const double share = total_demand > 0.0 ? demand[i] / total_demand
                                               : 1.0 / static_cast<double>(n);
-      target[i] = floor_bytes + static_cast<int64_t>(pool * share);
+      proportional[i] = floor_bytes + static_cast<int64_t>(pool * share);
+      target[i] = proportional[i];
       if (policy_.max_entry_bytes > 0) {
         target[i] = std::min(target[i], policy_.max_entry_bytes);
       }
       // Hysteresis: clamp the per-round change to a fraction of the
-      // current budget so jittering traffic shares cannot thrash
-      // compression.
+      // current budget so a large shift lands over several rounds.
       const double step = std::clamp(policy_.max_step_fraction, 0.0, 1.0);
       const int64_t cur = std::max<int64_t>(health[i].budget_bytes, 1);
       const auto lo = static_cast<int64_t>(
@@ -113,7 +140,7 @@ int CatalogGovernor::RebalanceLocked() {
     }
   }
 
-  // 3. Tenant quotas: scale every entry of an over-quota tenant down
+  // Tenant quotas: scale every entry of an over-quota tenant down
   // proportionally (but never below the floor — quotas smaller than their
   // tenants' summed floors are satisfied best-effort).
   if (!policy_.tenant_quota_bytes.empty()) {
@@ -132,47 +159,99 @@ int CatalogGovernor::RebalanceLocked() {
     }
   }
 
-  // 4. Conservation: sum of grants must not exceed the global budget.
-  // Integer truncation above keeps the proportional sum under the pool;
-  // the step clamp and quota floors can push it over, so scale the
-  // above-floor portion back down if needed.
-  int64_t total = std::accumulate(target.begin(), target.end(), int64_t{0});
-  if (total > global && total > sum_floors && sum_floors < global) {
-    const double scale = static_cast<double>(global - sum_floors) /
-                         static_cast<double>(total - sum_floors);
-    total = 0;
-    for (size_t i = 0; i < n; ++i) {
-      const int64_t above = target[i] - floor_bytes;
-      target[i] = floor_bytes +
-                  static_cast<int64_t>(static_cast<double>(above) * scale);
-      total += target[i];
-    }
+  // 3. Evidence dead band. The above-floor part of a target is the pool
+  // times the entry's share, and a share counted from `hits` events has a
+  // relative sampling error of about 1/sqrt(hits): a move smaller than
+  // z such errors is noise. The band is sized on the smaller of the
+  // unclamped and the final target, so a cold entry (proportional target
+  // on the floor) is never held up by its step clamp.
+  std::vector<char> held(n, 0);
+  for (size_t i = 0; i < n; ++i) {
+    const int64_t above =
+        std::max<int64_t>(std::min(proportional[i], target[i]) - floor_bytes, 0);
+    const double noise = kNoiseZ * static_cast<double>(above) /
+                         std::sqrt(static_cast<double>(hits[i]) + 1.0);
+    const double band =
+        std::max(static_cast<double>(policy_.min_change_bytes), noise);
+    held[i] = static_cast<double>(std::llabs(target[i] -
+                                             health[i].budget_bytes)) < band;
   }
 
-  // 5. Apply. Entries within the dead band keep their current budget (and
-  // still count toward the allocation total).
+  // 4. Conservation, exact: within each quota'd tenant and then the global
+  // budget, held entries count at their current budget and the movers'
+  // above-floor grants are scaled into what is left. If the held budgets
+  // leave no room for the movers' floors (the first rebalance of an
+  // over-allocated catalog), the group's holds are released and all of it
+  // is scaled as one.
+  auto grant = [&](size_t i) {
+    return held[i] != 0 ? health[i].budget_bytes : target[i];
+  };
+  auto fit = [&](const std::vector<size_t>& group, int64_t cap) {
+    // The group's held budgets plus its movers' floor parts, and its
+    // movers' above-floor parts; together, the sum of its grants.
+    const auto split = [&] {
+      int64_t fixed = 0;
+      int64_t above = 0;
+      for (const size_t i : group) {
+        if (held[i] != 0) {
+          fixed += health[i].budget_bytes;
+        } else {
+          fixed += std::min(target[i], floor_bytes);
+          above += std::max<int64_t>(target[i] - floor_bytes, 0);
+        }
+      }
+      return std::pair{fixed, above};
+    };
+    auto [fixed, above] = split();
+    if (fixed + above <= cap) return;
+    if (fixed >= cap) {
+      for (const size_t i : group) held[i] = 0;
+      std::tie(fixed, above) = split();
+      // Floors alone exceed the cap (best effort), or the released holds
+      // already fit.
+      if (fixed >= cap || fixed + above <= cap) return;
+    }
+    const double scale =
+        static_cast<double>(cap - fixed) / static_cast<double>(above);
+    for (const size_t i : group) {
+      if (held[i] != 0 || target[i] <= floor_bytes) continue;
+      target[i] = floor_bytes + static_cast<int64_t>(
+                                    static_cast<double>(target[i] - floor_bytes) *
+                                    scale);
+    }
+  };
+  for (const auto& [tenant, quota] : policy_.tenant_quota_bytes) {
+    std::vector<size_t> group;
+    for (size_t i = 0; i < n; ++i) {
+      if (health[i].tenant == tenant) group.push_back(i);
+    }
+    fit(group, quota);
+  }
+  std::vector<size_t> everyone(n);
+  std::iota(everyone.begin(), everyone.end(), size_t{0});
+  fit(everyone, global);
+
+  // 5. Apply. A moved entry opens a fresh evidence window.
   int changed = 0;
   int64_t granted = 0;
   int64_t reclaimed = 0;
   int64_t allocated = 0;
   for (size_t i = 0; i < n; ++i) {
     const int64_t cur = health[i].budget_bytes;
-    const int64_t delta = target[i] - cur;
-    if (std::llabs(delta) < policy_.min_change_bytes) {
-      allocated += cur;
+    const int64_t next = grant(i);
+    if (next == cur || !catalog_->SetEntryByteBudget(udfs[i], next)) {
+      allocated += cur;  // Held, or evicted since the health read.
       continue;
     }
-    if (!catalog_->SetEntryByteBudget(udfs[i], target[i])) {
-      allocated += cur;
-      continue;  // Evicted or deregistered since the health read.
-    }
-    allocated += target[i];
+    allocated += next;
     ++changed;
-    if (delta > 0) {
-      granted += delta;
+    if (next > cur) {
+      granted += next - cur;
     } else {
-      reclaimed -= delta;
+      reclaimed += cur - next;
     }
+    window[i]->start_traffic = health[i].traffic;
+    window[i]->start_total = total_traffic_;
   }
 
   // 6. Admission control: evict the coldest entries beyond the resident
@@ -197,10 +276,8 @@ int CatalogGovernor::RebalanceLocked() {
   }
 
   // Remember this rebalance's traffic totals (evicted entries keep theirs
-  // in the snapshot store and resume the same counter on reload).
-  for (size_t i = 0; i < n; ++i) {
-    traffic_at_last_rebalance_[udfs[i]] = health[i].traffic;
-  }
+  // in their shell and resume the same counter on reload).
+  for (size_t i = 0; i < n; ++i) window[i]->last_traffic = health[i].traffic;
 
   ++stats_.rebalances;
   stats_.bytes_granted += granted;

@@ -45,9 +45,10 @@ struct GovernorPolicy {
   // shares jitter.
   double max_step_fraction = 0.5;
 
-  // Budget changes smaller than this many bytes are not applied (dead
-  // band; a SetEntryByteBudget that shrinks triggers compression, so
-  // chasing noise has a real cost).
+  // Absolute floor of the dead band: a budget change smaller than this
+  // many bytes is never applied. The band itself is the sampling noise of
+  // the entry's traffic share (see CatalogGovernor); a SetEntryByteBudget
+  // that shrinks triggers compression, so chasing noise has a real cost.
   int64_t min_change_bytes = 64;
 
   // Weight of the error signals in an entry's demand score:
@@ -88,18 +89,28 @@ struct GovernorStats {
 //
 // Driven by MaintenanceScheduler ticks (SetGovernor wires it into the
 // serving loop's tick stream) or called directly via RebalanceNow(). Each
-// rebalance reads CostCatalog::ReadModelHealth() and:
+// rebalance reads CostCatalog::ReadModelHealth() (lock-free on the models)
+// and:
 //
 //  1. Scores every entry's demand: traffic share, boosted by the windowed
 //     NAE error signal and the drift detector's staleness ratio — hot or
-//     drifting models bid up, cold converged models bid down.
+//     drifting models bid up, cold converged models bid down. The share is
+//     measured over the entry's own evidence window, which starts when its
+//     budget last moved, so evidence accumulates while the entry holds.
 //  2. Computes proportional target budgets over the global pool (floor +
 //     demand share of the remainder), clamps per-entry ceilings and the
 //     per-round step fraction, then scales tenants down to their quotas.
-//  3. Enforces conservation (sum of grants <= global budget) and applies
-//     the changed budgets via CostCatalog::SetEntryByteBudget — shrinking
-//     entries run eviction-compression passes down to their new limit.
-//  4. When admission control is on, evicts the lowest-traffic entries
+//  3. Holds every entry whose |target - current| lies inside the noise of
+//     its share estimate: z * (target - floor) / sqrt(hits + 1), z = 3,
+//     never below min_change_bytes. A held entry keeps its budget and its
+//     window keeps growing, so the band narrows until real evidence moves
+//     it; stationary traffic leaves almost every entry still.
+//  4. Enforces conservation exactly: held entries count at their current
+//     budget, the movers' grants are scaled into what is left of each
+//     tenant quota and of the global budget, and the changed budgets are
+//     applied via CostCatalog::SetEntryByteBudget — shrinking entries run
+//     eviction-compression passes down to their new limit.
+//  5. When admission control is on, evicts the lowest-traffic entries
 //     beyond max_resident_models (flush + serialize to the snapshot
 //     store; the next For() on the UDF reloads bit-identically).
 //
@@ -135,11 +146,24 @@ class CatalogGovernor {
   mutable std::mutex mutex_;
   // All below guarded by mutex_.
   int64_t ticks_ = 0;
-  // Traffic totals at the previous rebalance, keyed by UDF identity like
-  // the catalog's own tables (names need not be unique): the demand score
-  // uses the traffic DELTA since last time, so an entry that was hot last
-  // month and idle now reads as cold.
-  std::map<const CostedUdf*, int64_t> traffic_at_last_rebalance_;
+  // One entry's evidence window, in traffic counts. The window opens when
+  // the entry's budget moves (or when the governor first sees it), so the
+  // share it measures is recent — an entry that was hot last month and
+  // idle now reads as cold — yet grows for as long as the entry holds.
+  struct EvidenceWindow {
+    // The entry's lifetime traffic when the window opened.
+    int64_t start_traffic = 0;
+    // total_traffic_ when the window opened.
+    int64_t start_total = 0;
+    // The entry's lifetime traffic at the previous rebalance.
+    int64_t last_traffic = 0;
+  };
+  // Keyed by UDF identity like the catalog's own tables (names need not be
+  // unique).
+  std::map<const CostedUdf*, EvidenceWindow> windows_;
+  // Traffic the governor has seen across all entries: the sum over
+  // rebalances of every entry's increment since the previous one.
+  int64_t total_traffic_ = 0;
   GovernorStats stats_;
 };
 

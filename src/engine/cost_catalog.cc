@@ -158,9 +158,7 @@ const MlqModel* CostCatalog::BareModel(const CostModel* model) const {
       return static_cast<const MlqModel*>(model);
     case CatalogConcurrency::kGlobalMutex:
       return static_cast<const MlqModel*>(
-          &const_cast<ConcurrentCostModel*>(
-               static_cast<const ConcurrentCostModel*>(model))
-               ->inner());
+          &static_cast<const ConcurrentCostModel*>(model)->inner());
     case CatalogConcurrency::kSharded:
       return nullptr;
   }
@@ -638,6 +636,7 @@ CostCatalog::ArenaSignals CostCatalog::ReadArenaSignals() const {
         std::max(signals.max_fragmentation, arena->FragmentationRatio());
     signals.live_nodes +=
         static_cast<int64_t>(arena->slot_count()) - arena->free_count();
+    signals.reclaimable_bytes += arena->ReclaimableBytes();
   }
   return signals;
 }
@@ -662,8 +661,9 @@ std::vector<obs::ModelHealth> CostCatalog::ReadModelHealth(
     h.tenant = entry.tenant;
     h.traffic = entry.traffic.load(std::memory_order_relaxed);
     h.budget_bytes = entry.budget_bytes;
-    // Same lock order as the compaction epochs: entries_mutex_, then the
-    // models' own synchronization (inside MemoryBytes / NodeCount).
+    // Lock-free: the concurrent wrappers publish their trees' sizes at
+    // every mutation, so the scan takes no model or shard lock (and a
+    // quiesced or busy model cannot stall it).
     for (const auto* model :
          {entry.cpu_model.get(), entry.io_model.get(),
           entry.selectivity_model.get()}) {

@@ -147,6 +147,11 @@ class CostCatalog {
     double max_fragmentation = 0.0;
     // Live (occupied) node slots across arenas; a cheap change detector.
     int64_t live_nodes = 0;
+    // Bytes an unbounded compaction would return across arenas (whole
+    // slabs past each arena's dense extent; SharedNodeArena::
+    // ReclaimableBytes). 0 means an epoch could move blocks but free
+    // nothing, so the scheduler does not quiesce for one.
+    int64_t reclaimable_bytes = 0;
   };
 
   // `memory_limit_bytes` is the per-model budget (the paper's 1.8 KB each).
@@ -267,12 +272,15 @@ class CostCatalog {
   // Snapshot of the scheduler-facing maintenance signals.
   ArenaSignals ReadArenaSignals() const;
 
-  // Per-entry health snapshot for the telemetry exporter: footprint
-  // (bytes, nodes over all three models), windowed NAE (normalized
+  // Per-entry health snapshot for the telemetry exporter and the governor:
+  // footprint (bytes, nodes over all three models), windowed NAE (normalized
   // fast-vs-slow deviation of the WindowedActuals cost windows),
   // staleness (worst detector fast/slow ratio), the entry's arena
   // fragmentation, and the derived accuracy-per-byte score. One vector
-  // element per resident entry, in registration order. Intended as the
+  // element per resident entry, in registration order. Takes
+  // entries_mutex_ and each entry's windowed_mutex but no model or shard
+  // lock: footprints are the models' lock-free published sizes, so the
+  // scan never waits on a serving or quiesced model. Intended as the
   // exporter's health provider:
   //   exporter.SetHealthProvider([&] { return catalog.ReadModelHealth(); });
   std::vector<obs::ModelHealth> ReadModelHealth() const;

@@ -30,6 +30,7 @@ void MaintenanceScheduler::Tick() {
   }
 
   bool advance_decay = false;
+  bool flush_only = false;
   {
     std::unique_lock<std::mutex> lock(mutex_);
     ++ticks_;
@@ -64,20 +65,38 @@ void MaintenanceScheduler::Tick() {
           compressions_since >= policy_.compression_trigger) {
         trigger = true;
       }
+      // The fragmentation and idle triggers are levels an epoch could not
+      // clear while no whole slab is reclaimable, so they fire only when
+      // one is; otherwise they would re-fire every back-pressure window
+      // (and a quiet system would compact no-op forever).
       if (policy_.fragmentation_trigger > 0 &&
-          signals.max_fragmentation >= policy_.fragmentation_trigger) {
+          signals.max_fragmentation >= policy_.fragmentation_trigger &&
+          signals.reclaimable_bytes > 0) {
         trigger = true;
       }
-      // Idle trigger only fires when there is actually something to
-      // reclaim; otherwise a quiet system would compact no-op forever.
       if (policy_.idle_tick_trigger > 0 &&
           idle_ticks_ >= policy_.idle_tick_trigger &&
-          signals.max_fragmentation > 0.0) {
+          signals.reclaimable_bytes > 0) {
         trigger = true;
       }
-      if (trigger) RunEpochLocked(lock);
+      if (trigger && signals.reclaimable_bytes > 0) {
+        RunEpochLocked(lock);
+      } else if (trigger) {
+        // The compression trigger fired, but no whole slab can come back,
+        // so an epoch would quiesce every model to shuffle blocks and free
+        // nothing. Absorb the trigger instead: reset its counters as an
+        // epoch would, and keep only
+        // the epoch's feedback flush (after mutex_ is released, like the
+        // other catalog calls below), which drains the queues on this
+        // maintenance tick rather than on the next predicts.
+        ticks_at_last_epoch_ = ticks_;
+        compressions_at_last_epoch_ = last_compressions_;
+        idle_ticks_ = 0;
+        flush_only = true;
+      }
     }
   }
+  if (flush_only) catalog_->FlushFeedback();
   if (advance_decay) catalog_->AdvanceDecayEpochs(1);
   // Governor last, with no lock held: a rebalance takes the catalog's
   // entries_mutex_ and model locks, which mutex_ must never be held

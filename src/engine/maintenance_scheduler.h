@@ -22,12 +22,13 @@ struct MaintenancePolicy {
   int64_t compression_trigger = 256;
 
   // Run an epoch once the worst arena's reclaimable slot fraction reaches
-  // this value (0 < trigger <= 1 to enable).
+  // this value (0 < trigger <= 1 to enable) and a whole slab is
+  // reclaimable.
   double fragmentation_trigger = 0.6;
 
   // Run an epoch after this many consecutive idle ticks (ticks where no
-  // compression or live-node change was observed) IF there is anything to
-  // reclaim. Lets a quiet system tidy up without waiting for churn.
+  // compression or live-node change was observed) IF a whole slab is
+  // reclaimable. Lets a quiet system tidy up without waiting for churn.
   int idle_tick_trigger = 0;
 
   // Back-pressure: at least this many ticks must pass between epochs, no
@@ -80,6 +81,13 @@ struct MaintenanceSchedulerStats {
 // epoch inline through the catalog's normal quiesce path
 // (LockForMaintenance + Flush), so no extra thread exists and epochs can
 // never overlap (a running_ flag makes concurrent ticks no-ops).
+//
+// A trigger quiesces only when memory can come back: when the arenas hold
+// no whole slab past their dense extent (ArenaSignals::reclaimable_bytes
+// == 0), the fragmentation and idle triggers do not fire, and the
+// compression trigger is absorbed without an epoch — its counters reset
+// and the catalog's queued feedback is flushed, but no model lock is taken
+// and stats().epochs does not move. RunEpochNow() always runs the epoch.
 //
 // Lifetime: destroy only after serving traffic has quiesced (workers
 // joined); the destructor unregisters from the catalog, but ticks already

@@ -1,6 +1,8 @@
 #ifndef MLQ_MODEL_CONCURRENT_MODEL_H_
 #define MLQ_MODEL_CONCURRENT_MODEL_H_
 
+#include <atomic>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 
@@ -17,10 +19,16 @@ namespace mlq {
 // by one session). Wrapping a model in ConcurrentCostModel serializes all
 // access behind one mutex — correct and simple; predictions are ~100 ns,
 // so a contended mutex still supports millions of operations per second.
+//
+// The model's size (MemoryBytes / NodeCount) is republished into atomics
+// after every mutation under the mutex, so size reads — the catalog's
+// health scan — never take the lock.
 class ConcurrentCostModel : public CostModel {
  public:
   explicit ConcurrentCostModel(std::unique_ptr<CostModel> inner)
-      : inner_(std::move(inner)) {}
+      : inner_(std::move(inner)) {
+    PublishSizeLocked();  // Not yet shared.
+  }
 
   std::string_view name() const override { return inner_->name(); }
 
@@ -40,12 +48,14 @@ class ConcurrentCostModel : public CostModel {
   void Observe(const Point& point, double actual_cost) override {
     std::lock_guard<std::mutex> lock(mutex_, LockTimed());
     inner_->Observe(point, actual_cost);
+    PublishSizeLocked();
   }
 
   // The feedback twin of PredictBatch: one lock acquisition per batch.
   void ObserveBatch(std::span<const Observation> batch) override {
     std::lock_guard<std::mutex> lock(mutex_, LockTimed());
     inner_->ObserveBatch(batch);
+    PublishSizeLocked();
   }
 
   void AdvanceDecayEpoch(int64_t epochs) override {
@@ -57,7 +67,9 @@ class ConcurrentCostModel : public CostModel {
   // resize, exactly like any other mutation.
   bool SetByteBudget(int64_t limit_bytes) override {
     std::lock_guard<std::mutex> lock(mutex_, LockTimed());
-    return inner_->SetByteBudget(limit_bytes);
+    const bool resized = inner_->SetByteBudget(limit_bytes);
+    PublishSizeLocked();
+    return resized;
   }
 
   std::vector<std::unique_lock<std::mutex>> LockForMaintenance() override {
@@ -67,13 +79,11 @@ class ConcurrentCostModel : public CostModel {
   }
 
   int64_t MemoryBytes() const override {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return inner_->MemoryBytes();
+    return memory_bytes_.load(std::memory_order_relaxed);
   }
 
   int64_t NodeCount() const override {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return inner_->NodeCount();
+    return node_count_.load(std::memory_order_relaxed);
   }
 
   bool IsSelfTuning() const override { return inner_->IsSelfTuning(); }
@@ -84,8 +94,10 @@ class ConcurrentCostModel : public CostModel {
   }
 
   // Access to the wrapped model for single-threaded phases (no locking;
-  // callers must guarantee exclusivity).
+  // callers must guarantee exclusivity). Mutations made through it are not
+  // republished to MemoryBytes / NodeCount.
   CostModel& inner() { return *inner_; }
+  const CostModel& inner() const { return *inner_; }
 
  private:
   // Acquires mutex_ and, when observability is on, records the time spent
@@ -102,8 +114,17 @@ class ConcurrentCostModel : public CostModel {
     return std::adopt_lock;
   }
 
+  // Republishes the inner model's size. Caller holds mutex_ (or owns the
+  // model exclusively) and has just mutated it.
+  void PublishSizeLocked() {
+    memory_bytes_.store(inner_->MemoryBytes(), std::memory_order_relaxed);
+    node_count_.store(inner_->NodeCount(), std::memory_order_relaxed);
+  }
+
   mutable std::mutex mutex_;
   std::unique_ptr<CostModel> inner_;
+  std::atomic<int64_t> memory_bytes_{0};
+  std::atomic<int64_t> node_count_{0};
 };
 
 }  // namespace mlq

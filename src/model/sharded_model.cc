@@ -42,6 +42,7 @@ ShardedCostModel::ShardedCostModel(const Box& space, const MlqConfig& config,
   for (int i = 0; i < options_.num_shards; ++i) {
     shards_.push_back(std::make_unique<Shard>(
         space, shard_config, options_.queue_capacity, options_.arena));
+    PublishSizeLocked(*shards_.back());  // Not yet shared.
   }
   name_ = "MLQ-Sx" + std::to_string(options_.num_shards);
 
@@ -90,6 +91,12 @@ int ShardedCostModel::ShardOf(const Point& point) const {
   return static_cast<int>(h % static_cast<uint64_t>(shards_.size()));
 }
 
+void ShardedCostModel::PublishSizeLocked(Shard& shard) {
+  shard.memory_bytes.store(shard.model.MemoryBytes(),
+                           std::memory_order_relaxed);
+  shard.node_count.store(shard.model.NodeCount(), std::memory_order_relaxed);
+}
+
 void ShardedCostModel::DrainLocked(Shard& shard) const {
   // The hint is exact for the calling thread's own pushes, so skipping the
   // queue-lock round-trip here never reorders a producer against itself.
@@ -100,6 +107,7 @@ void ShardedCostModel::DrainLocked(Shard& shard) const {
   // (predict-side, opportunistic, Flush, background) rides the amortized
   // path. Insert order — hence the tree — is unchanged.
   shard.model.ObserveBatch(shard.drain_buffer);
+  PublishSizeLocked(shard);
   shard.applied += static_cast<int64_t>(shard.drain_buffer.size());
   const auto applied = static_cast<int64_t>(shard.drain_buffer.size());
   if (applied > 0 && obs::Enabled()) {
@@ -220,6 +228,7 @@ void ShardedCostModel::ObserveBatch(std::span<const Observation> batch) {
       if (lock.owns_lock()) {
         DrainLocked(shard);
         shard.model.ObserveGather(batch, run);
+        PublishSizeLocked(shard);
         const auto applied = static_cast<int64_t>(run.size());
         shard.applied += applied;
         shard.direct_submitted += applied;
@@ -262,6 +271,10 @@ ShardedCostModel::LockForMaintenance() {
 
 void ShardedCostModel::Flush() {
   for (auto& shard : shards_) {
+    // Most shards of a large catalog have nothing queued at any instant;
+    // an empty one costs a flush no lock round-trip (the same hint
+    // DrainLocked re-checks under the lock).
+    if (shard->queue.AppearsEmpty()) continue;
     std::lock_guard<std::mutex> lock(shard->model_mutex);
     DrainLocked(*shard);
   }
@@ -283,6 +296,7 @@ bool ShardedCostModel::SetByteBudget(int64_t limit_bytes) {
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->model_mutex);
     shard->model.SetByteBudget(per_shard);
+    PublishSizeLocked(*shard);
   }
   return true;
 }
@@ -290,8 +304,7 @@ bool ShardedCostModel::SetByteBudget(int64_t limit_bytes) {
 int64_t ShardedCostModel::MemoryBytes() const {
   int64_t total = 0;
   for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->model_mutex);
-    total += shard->model.MemoryBytes();
+    total += shard->memory_bytes.load(std::memory_order_relaxed);
   }
   return total;
 }
@@ -299,8 +312,7 @@ int64_t ShardedCostModel::MemoryBytes() const {
 int64_t ShardedCostModel::NodeCount() const {
   int64_t total = 0;
   for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->model_mutex);
-    total += shard->model.NodeCount();
+    total += shard->node_count.load(std::memory_order_relaxed);
   }
   return total;
 }

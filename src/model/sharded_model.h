@@ -1,6 +1,7 @@
 #ifndef MLQ_MODEL_SHARDED_MODEL_H_
 #define MLQ_MODEL_SHARDED_MODEL_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -123,9 +124,13 @@ class ShardedCostModel : public CostModel {
   // a scalar Observe loop exactly; see docs/concurrency.md for how burst
   // enqueueing interacts with the bounded queue.
   void ObserveBatch(std::span<const Observation> batch) override;
+  bool IsSelfTuning() const override { return true; }
+  // Sums of the shards' published sizes: lock-free, so a catalog-wide
+  // health scan never waits on (or stalls) a serving shard. Exact once the
+  // shards are quiescent; under traffic, each shard's term is its size as
+  // of its latest mutation.
   int64_t MemoryBytes() const override;
   int64_t NodeCount() const override;
-  bool IsSelfTuning() const override { return true; }
   ModelUpdateBreakdown update_breakdown() const override;
 
   // Advances every shard tree's decay clock (one shard lock at a time, in
@@ -144,8 +149,10 @@ class ShardedCostModel : public CostModel {
   std::vector<std::unique_lock<std::mutex>> LockForMaintenance() override;
 
   // Applies every queued observation to its shard tree (blocking: takes
-  // each shard's model lock in turn). After Flush returns — with no
-  // concurrent producers — pending == 0 and the stats invariant holds.
+  // the model lock of each shard with pending feedback; a shard whose
+  // queue AppearsEmpty is skipped without touching its lock). After Flush
+  // returns — with no concurrent producers — pending == 0 and the stats
+  // invariant holds.
   void Flush() override;
 
   // Deterministic shard index of `point` (exposed for tests and tools).
@@ -189,11 +196,19 @@ class ShardedCostModel : public CostModel {
     int64_t direct_submitted = 0;
     // Reused drain scratch buffer, guarded by model_mutex.
     std::vector<Observation> drain_buffer;
+    // The tree's MemoryBytes() / NodeCount(), republished (relaxed) by
+    // every mutation under model_mutex; read without it.
+    std::atomic<int64_t> memory_bytes{0};
+    std::atomic<int64_t> node_count{0};
   };
 
   // Applies all pending queued observations of `shard` to its tree.
   // Caller holds shard.model_mutex.
   void DrainLocked(Shard& shard) const;
+
+  // Publishes the shard tree's current size. Caller holds
+  // shard.model_mutex and has just mutated the tree.
+  static void PublishSizeLocked(Shard& shard);
 
   ShardedModelOptions options_;
   Box space_;

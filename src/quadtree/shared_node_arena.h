@@ -1,6 +1,7 @@
 #ifndef MLQ_QUADTREE_SHARED_NODE_ARENA_H_
 #define MLQ_QUADTREE_SHARED_NODE_ARENA_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -179,6 +180,25 @@ class SharedNodeArena {
     const auto slots = static_cast<int64_t>(slot_count());
     if (slots == 0) return 0.0;
     return static_cast<double>(free_count()) / static_cast<double>(slots);
+  }
+
+  // Bytes an unbounded CompactStep would return right now: the whole slabs
+  // held past the dense extent (every live block packed from slot 0).
+  // Fragmentation inside the slabs the live blocks still need returns
+  // nothing, so 0 means a compaction epoch would only shuffle blocks.
+  // Lock-free; a snapshot of three relaxed counters, exact once the
+  // arena's trees are quiescent.
+  int64_t ReclaimableBytes() const {
+    const auto slab_bytes =
+        static_cast<int64_t>(kSlabSlots * sizeof(PooledNode));
+    const int64_t dense_slots =
+        static_cast<int64_t>(slot_count()) - free_count();
+    const int64_t dense_slabs =
+        (std::max<int64_t>(dense_slots, 0) +
+         static_cast<int64_t>(kSlabSlots) - 1) >>
+        kSlabShift;
+    return std::max<int64_t>(PhysicalCapacityBytes() - dense_slabs * slab_bytes,
+                             0);
   }
 
   // Registers the location of a tree's root index so CompactStep() can

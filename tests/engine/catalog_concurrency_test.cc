@@ -1,13 +1,17 @@
 // CostCatalog entry table and pins: serving calls find resident entries
 // without a lock while registration grows the lookup table, and eviction
 // waits for the serving calls pinning an entry before it destroys the
-// entry's models. Every mode is covered; kSingleThread runs on one thread
-// only, as its contract requires. This binary is a TSan tier-2 target.
+// entry's models. The health scan takes no model lock. Every mode is
+// covered; kSingleThread runs on one thread only, as its contract
+// requires. This binary is a TSan tier-2 target.
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <future>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -17,6 +21,8 @@
 
 #include "engine/cost_catalog.h"
 #include "eval/experiment_setup.h"
+#include "model/concurrent_model.h"
+#include "model/sharded_model.h"
 
 namespace mlq {
 namespace {
@@ -107,6 +113,88 @@ void RaceServingWithRegistration(CatalogConcurrency mode) {
     names.insert(h.model);
   }
   EXPECT_EQ(names.size(), static_cast<size_t>(kModels));
+}
+
+// Bytes and nodes of one catalog model read straight off its trees.
+// Callers must have quiesced the model (flushed, no serving threads).
+std::pair<int64_t, int64_t> TreeSize(const CostModel* model) {
+  if (const auto* sharded = dynamic_cast<const ShardedCostModel*>(model)) {
+    int64_t bytes = 0;
+    int64_t nodes = 0;
+    for (int s = 0; s < sharded->num_shards(); ++s) {
+      bytes += sharded->shard_model(s).MemoryBytes();
+      nodes += sharded->shard_model(s).NodeCount();
+    }
+    return {bytes, nodes};
+  }
+  const CostModel& inner =
+      dynamic_cast<const ConcurrentCostModel&>(*model).inner();
+  return {inner.MemoryBytes(), inner.NodeCount()};
+}
+
+// The health scan reads the models' published sizes, never their locks:
+// with every model's maintenance locks held on this thread, ReadModelHealth
+// on another thread must return, with the sizes of the flushed trees. The
+// wait is bounded, so a scan that blocks on a model lock fails the test
+// instead of hanging it.
+void HealthReadTakesNoModelLock(CatalogConcurrency mode) {
+  auto udfs = MakeFleet(4, 700);
+  const std::vector<Probe> probes = MakeProbes(udfs[0].get(), 64, 43);
+  CostCatalog catalog(1800, mode);
+  for (const auto& udf : udfs) {
+    for (int i = 0; i < 300; ++i) {
+      ServeOnce(catalog, udf.get(), probes[static_cast<size_t>(i) % 64], i, 2);
+    }
+  }
+  catalog.FlushFeedback();
+  std::vector<std::pair<int64_t, int64_t>> expected;
+  for (const auto& udf : udfs) {
+    const CostCatalog::Entry* entry = catalog.Find(udf.get());
+    int64_t bytes = 0;
+    int64_t nodes = 0;
+    for (const CostModel* model :
+         {entry->cpu_model.get(), entry->io_model.get(),
+          entry->selectivity_model.get()}) {
+      const auto [b, n] = TreeSize(model);
+      bytes += b;
+      nodes += n;
+    }
+    expected.emplace_back(bytes, nodes);
+  }
+
+  std::vector<std::unique_lock<std::mutex>> locks;
+  for (const auto& udf : udfs) {
+    CostCatalog::Entry& entry = catalog.For(udf.get());
+    for (CostModel* model : {entry.cpu_model.get(), entry.io_model.get(),
+                             entry.selectivity_model.get()}) {
+      for (auto& lock : model->LockForMaintenance()) {
+        locks.push_back(std::move(lock));
+      }
+    }
+  }
+  ASSERT_FALSE(locks.empty());
+  auto read = std::async(std::launch::async,
+                         [&catalog] { return catalog.ReadModelHealth(); });
+  const bool returned =
+      read.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  locks.clear();  // Lets a blocked scan finish, so the test can fail.
+  const std::vector<obs::ModelHealth> health = read.get();
+  ASSERT_TRUE(returned) << "ReadModelHealth waited on a model lock";
+  ASSERT_EQ(health.size(), udfs.size());
+  for (size_t i = 0; i < udfs.size(); ++i) {
+    EXPECT_EQ(health[i].model, udfs[i]->name());
+    EXPECT_EQ(health[i].bytes, expected[i].first) << health[i].model;
+    EXPECT_EQ(health[i].nodes, expected[i].second) << health[i].model;
+    EXPECT_GT(health[i].nodes, 3) << health[i].model;
+  }
+}
+
+TEST(CatalogConcurrencyTest, GlobalMutexHealthReadTakesNoModelLock) {
+  HealthReadTakesNoModelLock(CatalogConcurrency::kGlobalMutex);
+}
+
+TEST(CatalogConcurrencyTest, ShardedHealthReadTakesNoModelLock) {
+  HealthReadTakesNoModelLock(CatalogConcurrency::kSharded);
 }
 
 TEST(CatalogConcurrencyTest, GlobalMutexServingRacesRegistration) {

@@ -1,9 +1,10 @@
 // CatalogGovernor tests: the fleet-level budget controller must conserve
 // the global byte pool, shrink cold models monotonically to the floor,
-// keep tenants inside their quotas under skewed traffic, round-trip
-// evicted models bit-exactly through the snapshot store, and stay clean
-// while serving threads hammer a catalog it is re-budgeting (this binary
-// is a TSan tier-2 target).
+// keep tenants inside their quotas under skewed traffic, hold still under
+// stationary traffic yet follow a real shift, round-trip evicted models
+// bit-exactly through the snapshot store, and stay clean while serving
+// threads hammer a catalog it is re-budgeting (this binary is a TSan
+// tier-2 target).
 
 #include <algorithm>
 #include <cmath>
@@ -16,6 +17,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
+#include "common/zipf.h"
 #include "engine/catalog_governor.h"
 #include "engine/cost_catalog.h"
 #include "engine/maintenance_scheduler.h"
@@ -197,6 +200,98 @@ TEST(CatalogGovernorTest, EnforcesTenantQuotaUnderSkew) {
   }
   EXPECT_LE(TotalBudget(catalog.ReadModelHealth()),
             policy.global_budget_bytes);
+}
+
+// One rebalance interval of catalog_fleet-like read traffic: `ops`
+// predicts, each on the entry `pick` draws.
+template <typename Pick>
+void DriveReads(CostCatalog& catalog,
+                const std::vector<std::unique_ptr<RenamedUdf>>& udfs,
+                const std::vector<Point>& points, int ops, Rng& rng,
+                Pick pick) {
+  for (int i = 0; i < ops; ++i) {
+    const Point& p = points[static_cast<size_t>(i) % points.size()];
+    catalog.PredictCostMicros(udfs[static_cast<size_t>(pick(rng))].get(), p);
+  }
+}
+
+// Stationary Zipf traffic with the default dead band: once the step clamp
+// has walked the allocation to its shares, a 1,024-op traffic delta is
+// mostly sampling noise, and the evidence band must keep all but a few
+// entries still. Conservation must hold exactly in every round.
+TEST(CatalogGovernorTest, StationaryTrafficHoldsBudgetsStill) {
+  constexpr int kModels = 64;
+  constexpr int kRounds = 40;
+  constexpr int kConverged = 20;
+  auto udfs = MakeFleet(kModels, 131);
+  CostCatalog catalog(1800);
+  for (auto& u : udfs) catalog.For(u.get());
+  const auto points = MakePaperWorkload(
+      udfs[0]->model_space(), QueryDistributionKind::kUniform, 128, 43);
+
+  GovernorPolicy policy;
+  policy.global_budget_bytes = kModels * 5400;
+  ASSERT_EQ(policy.min_change_bytes, GovernorPolicy{}.min_change_bytes);
+  CatalogGovernor governor(&catalog, policy);
+
+  const ZipfDistribution zipf(kModels, 1.1);
+  Rng rng(7);
+  int most_changed = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    DriveReads(catalog, udfs, points, 1024, rng,
+               [&zipf](Rng& r) { return zipf.Sample(r) - 1; });
+    const int changed = governor.RebalanceNow();
+    EXPECT_LE(TotalBudget(catalog.ReadModelHealth()),
+              policy.global_budget_bytes)
+        << "round " << round;
+    if (round >= kConverged) most_changed = std::max(most_changed, changed);
+  }
+  EXPECT_LE(most_changed, kModels / 10);
+  // The allocation still follows the skew it settled on.
+  const auto health = catalog.ReadModelHealth();
+  EXPECT_GT(BudgetOf(health, "gov-0"), 4 * BudgetOf(health, "gov-63"));
+}
+
+// Holding still must not mean ignoring a real shift: after the allocation
+// settles on A, moving A's traffic to B makes B out-budget A within a few
+// rebalances (the step clamp alone needs about three).
+TEST(CatalogGovernorTest, FollowsATrafficShift) {
+  constexpr int kModels = 8;
+  auto udfs = MakeFleet(kModels, 151);
+  CostCatalog catalog(1800);
+  for (auto& u : udfs) catalog.For(u.get());
+  const auto points = MakePaperWorkload(
+      udfs[0]->model_space(), QueryDistributionKind::kUniform, 128, 47);
+
+  GovernorPolicy policy;
+  policy.global_budget_bytes = kModels * 5400;
+  CatalogGovernor governor(&catalog, policy);
+  // `hot` draws 60% of the traffic; the rest is uniform over the others.
+  const auto skewed_to = [](int hot) {
+    return [hot](Rng& r) {
+      if (r.NextDouble() < 0.6) return hot;
+      const int other = static_cast<int>(r.UniformInt(0, kModels - 2));
+      return other >= hot ? other + 1 : other;
+    };
+  };
+  Rng rng(11);
+  for (int round = 0; round < 20; ++round) {
+    DriveReads(catalog, udfs, points, 1024, rng, skewed_to(0));
+    governor.RebalanceNow();
+  }
+  ASSERT_GT(BudgetOf(catalog.ReadModelHealth(), "gov-0"),
+            2 * BudgetOf(catalog.ReadModelHealth(), "gov-1"));
+
+  int rounds_to_cross = 0;
+  while (rounds_to_cross < 20) {
+    DriveReads(catalog, udfs, points, 1024, rng, skewed_to(1));
+    governor.RebalanceNow();
+    ++rounds_to_cross;
+    const auto health = catalog.ReadModelHealth();
+    EXPECT_LE(TotalBudget(health), policy.global_budget_bytes);
+    if (BudgetOf(health, "gov-1") > BudgetOf(health, "gov-0")) break;
+  }
+  EXPECT_LE(rounds_to_cross, 6);
 }
 
 TEST(CatalogGovernorTest, EvictReloadRoundTripsPredictionsBitExactly) {

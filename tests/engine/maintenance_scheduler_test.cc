@@ -1,15 +1,20 @@
 // MaintenanceScheduler tests: the serving stack must trigger compaction
 // epochs autonomously (executor block boundaries and the sharded drain
 // hook both reach Tick()), policy triggers must fire and hold back as
-// configured, bounded-step epochs must land on the dense layout a single
-// unbounded step reaches, and the whole arrangement must stay clean under
-// concurrent serving traffic (this binary is a TSan tier-2 target).
+// configured, a trigger must quiesce the models only when a whole slab can
+// come back (and still flush queued feedback when none can), bounded-step
+// epochs must land on the dense layout a single unbounded step reaches,
+// and the whole arrangement must stay clean under concurrent serving
+// traffic (this binary is a TSan tier-2 target).
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <future>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <thread>
@@ -26,6 +31,7 @@
 #include "eval/experiment_setup.h"
 #include "model/mlq_model.h"
 #include "model/serialization.h"
+#include "model/sharded_model.h"
 #include "quadtree/shared_node_arena.h"
 
 namespace mlq {
@@ -81,13 +87,30 @@ class MaintenanceSchedulerTest : public ::testing::Test {
     }
   }
 
+  // Grows the entry's three trees under a large budget, then shrinks them
+  // back to the catalog's default: the compression that follows frees far
+  // more than a slab of blocks, so a compaction epoch has whole slabs to
+  // return. The catalog's per-model trees alone never span a slab.
+  void LeaveReclaimableSlabs(CostCatalog& catalog, CostedUdf* udf,
+                             uint64_t seed) {
+    catalog.For(udf);
+    ASSERT_TRUE(catalog.SetEntryByteBudget(udf, kGrownEntryBytes));
+    Churn(catalog, udf, 8000, seed);
+    catalog.FlushFeedback();
+    ASSERT_TRUE(
+        catalog.SetEntryByteBudget(udf, 3 * catalog.memory_limit_bytes()));
+  }
+
+  static constexpr int64_t kGrownEntryBytes = 3 * 16 * 1024;
+
   RealUdfSuite suite_;
 };
 
 // The acceptance test for the tentpole wiring: drive the batched adaptive
 // executor against a catalog with a registered scheduler and NO explicit
-// CompactArenas call anywhere. Once the models compress past the policy
-// threshold, a block-boundary MaintenanceTick must run an epoch on its own.
+// CompactArenas call anywhere. Once the models have compressed past the
+// policy threshold and a whole slab is reclaimable, a block-boundary
+// MaintenanceTick must run an epoch on its own.
 TEST_F(MaintenanceSchedulerTest, ExecutorTriggersEpochAutonomously) {
   Table table("places", {"x", "y"});
   Rng rng(9);
@@ -109,6 +132,14 @@ TEST_F(MaintenanceSchedulerTest, ExecutorTriggersEpochAutonomously) {
   query.predicates = {keep[0].get(), keep[1].get()};
 
   CostCatalog catalog(1800);
+  // Fixture: past compressions left whole slabs reclaimable, and both
+  // predicates' trees then get room to grow, so the queries below only
+  // allocate — the epoch the first tick runs leaves nothing to reclaim.
+  for (const auto& predicate : keep) {
+    LeaveReclaimableSlabs(catalog, predicate->udf(), 5);
+    ASSERT_TRUE(catalog.SetEntryByteBudget(predicate->udf(), kGrownEntryBytes));
+  }
+  ASSERT_GT(catalog.ReadArenaSignals().reclaimable_bytes, 0);
   MaintenancePolicy policy;
   policy.compression_trigger = 1;
   policy.fragmentation_trigger = 0.0;
@@ -116,8 +147,8 @@ TEST_F(MaintenanceSchedulerTest, ExecutorTriggersEpochAutonomously) {
   policy.step_budget_slots = 1024;
   MaintenanceScheduler scheduler(&catalog, policy);
 
-  // Each run ticks once per 16-row block; rerun until the trees have
-  // compressed at least once past the trigger.
+  // Each run ticks once per 16-row block; rerun until a tick has seen the
+  // compressions past the trigger with a slab to reclaim.
   for (int run = 0; run < 20 && scheduler.stats().epochs == 0; ++run) {
     ExecuteQueryAdaptiveBatched(query, catalog, /*block_rows=*/16);
   }
@@ -135,6 +166,8 @@ TEST_F(MaintenanceSchedulerTest, ExecutorTriggersEpochAutonomously) {
 TEST_F(MaintenanceSchedulerTest, ShardedDrainHookTriggersEpoch) {
   CostCatalog catalog(1800, CatalogConcurrency::kSharded, /*num_shards=*/2);
   CostedUdf* win = suite_.Find("WIN");
+  LeaveReclaimableSlabs(catalog, win, 99);
+  ASSERT_GT(catalog.ReadArenaSignals().reclaimable_bytes, 0);
   MaintenancePolicy policy;
   policy.compression_trigger = 1;
   policy.fragmentation_trigger = 0.0;
@@ -158,10 +191,13 @@ TEST_F(MaintenanceSchedulerTest, PolicyTriggersFireAndHoldBack) {
   {
     CostCatalog catalog(1800);
     CostedUdf* win = suite_.Find("WIN");
+    LeaveReclaimableSlabs(catalog, win, 20);
     Churn(catalog, win, 6000, 21);
     catalog.FlushFeedback();
     ASSERT_GT(catalog.ReadArenaSignals().max_fragmentation, 0.0)
         << "fixture must leave reclaimable blocks for the idle trigger";
+    ASSERT_GT(catalog.ReadArenaSignals().reclaimable_bytes, 0)
+        << "fixture must leave a whole slab for the idle trigger";
 
     MaintenancePolicy idle_policy;
     idle_policy.compression_trigger = 0;
@@ -191,6 +227,96 @@ TEST_F(MaintenanceSchedulerTest, PolicyTriggersFireAndHoldBack) {
     EXPECT_GT(scheduler.stats().ticks, 0);
     EXPECT_EQ(scheduler.stats().epochs, 0);
   }
+}
+
+// A trigger with no whole slab to return must not quiesce. The tick runs
+// while this thread holds every maintenance lock of one entry, which an
+// epoch would wait on (the wait is bounded, so the test fails instead of
+// hanging); stats().epochs stays put, and the feedback queued on the other
+// entry is still applied by the tick.
+TEST_F(MaintenanceSchedulerTest, TriggerWithNothingReclaimableSkipsQuiesce) {
+  CostCatalog catalog(1800, CatalogConcurrency::kSharded, /*num_shards=*/2);
+  CostedUdf* win = suite_.Find("WIN");
+  CostedUdf* range = suite_.Find("RANGE");
+  Churn(catalog, win, 2000, 61);
+  CostCatalog::Entry& held = catalog.For(range);
+  catalog.FlushFeedback();
+  const CostCatalog::ArenaSignals before = catalog.ReadArenaSignals();
+  ASSERT_GT(before.tree_compressions, 0);
+  ASSERT_EQ(before.reclaimable_bytes, 0);
+
+  // Scalar feedback stays queued (far below the opportunistic drain batch).
+  for (const CostCatalog::ExecutionRecord& r : MakeRecords(win, 16, 62)) {
+    catalog.RecordExecution(win, r.model_point, r.cost, r.passed);
+  }
+  const CostCatalog::Entry* fed = catalog.Find(win);
+  const std::vector<const ShardedCostModel*> fed_models = {
+      &dynamic_cast<const ShardedCostModel&>(*fed->cpu_model),
+      &dynamic_cast<const ShardedCostModel&>(*fed->io_model),
+      &dynamic_cast<const ShardedCostModel&>(*fed->selectivity_model)};
+  for (const ShardedCostModel* model : fed_models) {
+    ASSERT_GT(model->stats().pending, 0);
+  }
+
+  MaintenancePolicy policy;
+  policy.compression_trigger = 1;
+  policy.fragmentation_trigger = 0.0;
+  policy.min_ticks_between_epochs = 1;
+  MaintenanceScheduler scheduler(&catalog, policy);
+
+  std::vector<std::unique_lock<std::mutex>> locks;
+  for (CostModel* model : {held.cpu_model.get(), held.io_model.get(),
+                           held.selectivity_model.get()}) {
+    for (auto& lock : model->LockForMaintenance()) {
+      locks.push_back(std::move(lock));
+    }
+  }
+  auto tick = std::async(std::launch::async,
+                         [&catalog] { catalog.MaintenanceTick(); });
+  const bool returned =
+      tick.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  locks.clear();  // Lets a blocked epoch finish, so the test can fail.
+  tick.get();
+  EXPECT_TRUE(returned) << "the tick waited on a model lock";
+  EXPECT_EQ(scheduler.stats().ticks, 1);
+  EXPECT_EQ(scheduler.stats().epochs, 0);
+  EXPECT_EQ(scheduler.stats().steps, 0);
+  for (const ShardedCostModel* model : fed_models) {
+    const ShardedModelStats stats = model->stats();
+    EXPECT_EQ(stats.pending, 0);
+    EXPECT_EQ(stats.observations_submitted,
+              stats.observations_applied + stats.observations_dropped);
+  }
+  // The trigger was absorbed: the next tick sees no new compressions.
+  catalog.MaintenanceTick();
+  EXPECT_EQ(scheduler.stats().epochs, 0);
+}
+
+// With a whole slab reclaimable, the same trigger runs the epoch, which
+// returns exactly the reclaimable bytes and leaves the arenas dense.
+TEST_F(MaintenanceSchedulerTest, TriggerWithReclaimableSlabRunsEpoch) {
+  CostCatalog catalog(1800, CatalogConcurrency::kSharded, /*num_shards=*/2);
+  CostedUdf* win = suite_.Find("WIN");
+  LeaveReclaimableSlabs(catalog, win, 71);
+  const CostCatalog::ArenaSignals before = catalog.ReadArenaSignals();
+  ASSERT_GT(before.tree_compressions, 0);
+  ASSERT_GT(before.reclaimable_bytes, 0);
+  const int64_t physical_before = catalog.ArenaPhysicalBytes();
+
+  MaintenancePolicy policy;
+  policy.compression_trigger = 1;
+  policy.fragmentation_trigger = 0.0;
+  policy.min_ticks_between_epochs = 1;
+  MaintenanceScheduler scheduler(&catalog, policy);
+  catalog.MaintenanceTick();
+
+  EXPECT_EQ(scheduler.stats().epochs, 1);
+  EXPECT_EQ(scheduler.stats().bytes_reclaimed, before.reclaimable_bytes);
+  EXPECT_EQ(catalog.ArenaPhysicalBytes(),
+            physical_before - before.reclaimable_bytes);
+  const CostCatalog::ArenaSignals after = catalog.ReadArenaSignals();
+  EXPECT_EQ(after.max_fragmentation, 0.0);
+  EXPECT_EQ(after.reclaimable_bytes, 0);
 }
 
 // A bounded-step scheduler epoch must land the catalog on the layout a
@@ -297,6 +423,9 @@ TEST_F(MaintenanceSchedulerTest, ConcurrentServingUnderScheduler) {
   // model construction against each other in interesting ways.
   catalog.PredictCostMicros(win, ProbePoints(win, 1, 1)[0]);
   catalog.PredictCostMicros(range, ProbePoints(range, 1, 2)[0]);
+  // Whole slabs to reclaim, so hook-driven epochs do run under the traffic.
+  LeaveReclaimableSlabs(catalog, win, 3);
+  ASSERT_GT(catalog.ReadArenaSignals().reclaimable_bytes, 0);
 
   MaintenancePolicy policy;
   policy.compression_trigger = 8;

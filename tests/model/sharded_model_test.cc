@@ -314,6 +314,58 @@ TEST_P(ShardedStressTest, InterleavedPredictObserveFlushKeepsInvariants) {
 INSTANTIATE_TEST_SUITE_P(Shards, ShardedStressTest,
                          ::testing::Values(1, 2, 4, 8));
 
+// Flush skips a shard whose queue AppearsEmpty without taking its lock.
+// The hint must still be exact for feedback pushed by producer threads
+// that have been joined: nothing queued may survive the Flush, and the
+// books and the published sizes must balance.
+TEST(ShardedModelTest, FlushAfterJoinedProducersLeavesNothingPending) {
+  const Box space = Box::Cube(2, 0.0, 1000.0);
+  ShardedModelOptions options;
+  options.num_shards = 8;
+  options.queue_capacity = 64;  // Small: some feedback is dropped.
+  options.drain_on_predict = false;
+  options.drain_batch = 0;  // Everything queues until Flush.
+  ShardedCostModel model(space, TestConfig(), options);
+
+  constexpr int kThreads = 4;
+  constexpr int kOpsPerThread = 500;
+  std::vector<std::thread> producers;
+  for (int t = 0; t < kThreads; ++t) {
+    producers.emplace_back([&model, t]() {
+      Rng rng(700 + static_cast<uint64_t>(t));
+      for (int i = 0; i < kOpsPerThread; ++i) {
+        model.Observe(Point{rng.Uniform(0.0, 1000.0), rng.Uniform(0.0, 1000.0)},
+                      rng.Uniform(0.0, 100.0));
+      }
+    });
+  }
+  for (std::thread& producer : producers) producer.join();
+  ASSERT_GT(model.stats().pending, 0);
+
+  model.Flush();
+  const ShardedModelStats stats = model.stats();
+  EXPECT_EQ(stats.pending, 0);
+  EXPECT_EQ(stats.observations_submitted, kThreads * kOpsPerThread);
+  EXPECT_EQ(stats.observations_submitted,
+            stats.observations_applied + stats.observations_dropped);
+  EXPECT_GT(stats.observations_dropped, 0);
+
+  // A second Flush finds every queue empty and changes nothing.
+  model.Flush();
+  EXPECT_EQ(model.stats().observations_applied, stats.observations_applied);
+
+  // The lock-free size reads agree with the quiescent shard trees.
+  int64_t bytes = 0;
+  int64_t nodes = 0;
+  for (int s = 0; s < model.num_shards(); ++s) {
+    bytes += model.shard_model(s).MemoryBytes();
+    nodes += model.shard_model(s).NodeCount();
+  }
+  EXPECT_EQ(model.MemoryBytes(), bytes);
+  EXPECT_EQ(model.NodeCount(), nodes);
+  EXPECT_GT(nodes, model.num_shards());
+}
+
 TEST(ShardedModelTest, BackgroundDrainerAppliesFeedbackWithoutFlush) {
   const Box space = Box::Cube(2, 0.0, 100.0);
   ShardedModelOptions options;

@@ -99,40 +99,8 @@
 namespace mlq {
 namespace {
 
-int Usage() {
-  std::fprintf(stderr,
-               "usage: mlq_tool <capture|replay|metrics|telemetry|inspect|"
-               "predict|plan|maintenance|govern|selftest> [--flags]\n"
-               "  capture  --udf=NAME --out=FILE [--n=2000] [--dist=uniform|"
-               "gauss-random|gauss-sequential] [--seed=42] [--scale=small|full]"
-               " [--peaks=50]\n"
-               "  replay   --trace=FILE [--strategy=eager|lazy] "
-               "[--budget=1800] [--beta=1] [--cost=cpu|io] [--model-out=FILE]"
-               " [--threads=1] [--shards=1] [--batch=1] [--metrics] "
-               "[--decay-half-life=0] [--decay-epoch-every=0] "
-               "[--trace-out=FILE]\n"
-               "  metrics  [--trace=FILE] [--json] [--n=2000] [--seed=42] "
-               "[--strategy=eager|lazy] [--budget=1800] [--beta=1] "
-               "[--cost=cpu|io] [--decay-half-life=0] [--interval=0] "
-               "[--trace-out=FILE]\n"
-               "  telemetry [--trace=FILE] [--n=20000] [--seed=42] "
-               "[--budget=1800] [--shards=4] [--interval=100] "
-               "[--prom-out=FILE] [--series-out=FILE] [--events-out=FILE] "
-               "[--json]\n"
-               "  inspect  --model=FILE\n"
-               "  predict  --model=FILE --point=x0,x1,...\n"
-               "  plan     [--rows=300] [--seed=7] [--train-queries=2] "
-               "[--risk-k=0] [--sample-rows=32] [--budget=1800] "
-               "[--scale=small|full] [--json]\n"
-               "  maintenance [--udf=synth] [--n=20000] [--seed=42] "
-               "[--budget=1800] [--shards=4] [--step-slots=4096] [--json]\n"
-               "  govern   [--models=48] [--tenants=3] [--n=30000] "
-               "[--seed=42] [--budget=1800] [--global-budget=BYTES] "
-               "[--zipf=1.1] [--max-resident=0] "
-               "[--quota=tenant0=BYTES,...] [--json]\n"
-               "  selftest\n");
-  return 1;
-}
+// Prints the usage, generated from the command table below, and returns 1.
+int Usage();
 
 // Shared by replay and metrics: the model space is the padded bounding box
 // of the trace's points.
@@ -1237,45 +1205,89 @@ int RunSelfTest() {
   return 0;
 }
 
-// Each subcommand with the flags it reads; anything else on its command
-// line is rejected before it runs.
+// Each subcommand with the flags it reads, in the form its usage line
+// shows them: "--name=VALUE" when required, "[--name=DEFAULT]" when
+// optional, "[--name]" for a switch. The accepted flag names are parsed
+// out of these same strings, so the help text cannot drift from what a
+// command accepts; anything else on its command line is rejected before
+// it runs.
 struct Command {
   std::string_view name;
   int (*run)(int argc, char** argv);
   std::vector<std::string_view> flags;
 };
 
+const Command kCommands[] = {
+    {"capture", RunCapture,
+     {"--udf=NAME", "--out=FILE", "[--n=2000]",
+      "[--dist=uniform|gauss-random|gauss-sequential]", "[--seed=42]",
+      "[--scale=small|full]", "[--peaks=50]"}},
+    {"replay", RunReplay,
+     {"--trace=FILE", "[--strategy=eager|lazy]", "[--budget=1800]",
+      "[--beta=1]", "[--cost=cpu|io]", "[--model-out=FILE]", "[--threads=1]",
+      "[--shards=1]", "[--batch=1]", "[--metrics]", "[--decay-half-life=0]",
+      "[--decay-epoch-every=0]", "[--trace-out=FILE]"}},
+    {"metrics", RunMetrics,
+     {"[--trace=FILE]", "[--json]", "[--n=2000]", "[--seed=42]",
+      "[--strategy=eager|lazy]", "[--budget=1800]", "[--beta=1]",
+      "[--cost=cpu|io]", "[--decay-half-life=0]", "[--interval=0]",
+      "[--trace-out=FILE]"}},
+    {"telemetry", RunTelemetry,
+     {"[--trace=FILE]", "[--n=20000]", "[--seed=42]", "[--budget=1800]",
+      "[--shards=4]", "[--interval=100]", "[--prom-out=FILE]",
+      "[--series-out=FILE]", "[--events-out=FILE]", "[--json]"}},
+    {"inspect", RunInspect, {"--model=FILE"}},
+    {"predict", RunPredict, {"--model=FILE", "--point=x0,x1,..."}},
+    {"plan", RunPlan,
+     {"[--rows=300]", "[--seed=7]", "[--train-queries=2]", "[--risk-k=0]",
+      "[--sample-rows=32]", "[--budget=1800]", "[--scale=small|full]",
+      "[--json]"}},
+    {"maintenance", RunMaintenance,
+     {"[--udf=synth]", "[--n=20000]", "[--seed=42]", "[--peaks=50]",
+      "[--scale=small|full]", "[--budget=1800]", "[--shards=4]",
+      "[--step-slots=4096]", "[--json]"}},
+    {"govern", RunGovern,
+     {"[--models=48]", "[--tenants=3]", "[--n=30000]", "[--seed=42]",
+      "[--budget=1800]", "[--global-budget=BYTES]", "[--zipf=1.1]",
+      "[--max-resident=0]", "[--quota=tenant0=BYTES,...]", "[--json]"}},
+    {"selftest", [](int, char**) { return RunSelfTest(); }, {}},
+};
+
+// "--name" out of a usage form: "[--n=2000]" -> "n", "[--json]" -> "json".
+std::string_view FlagName(std::string_view usage) {
+  if (usage.starts_with('[')) usage.remove_prefix(1);
+  usage.remove_prefix(2);  // "--"
+  return usage.substr(0, usage.find_first_of("=]"));
+}
+
+int Usage() {
+  std::string commands;
+  for (const Command& command : kCommands) {
+    if (!commands.empty()) commands += '|';
+    commands += command.name;
+  }
+  std::fprintf(stderr, "usage: mlq_tool <%s> [--flags]\n", commands.c_str());
+  for (const Command& command : kCommands) {
+    std::string line = "  " + std::string(command.name);
+    line.resize(std::max<size_t>(line.size(), 10), ' ');
+    for (const std::string_view flag : command.flags) {
+      line += ' ';
+      line += flag;
+    }
+    std::fprintf(stderr, "%s\n", line.c_str());
+  }
+  return 1;
+}
+
 int Main(int argc, char** argv) {
-  static const Command kCommands[] = {
-      {"capture", RunCapture,
-       {"udf", "out", "n", "seed", "peaks", "scale", "dist"}},
-      {"replay", RunReplay,
-       {"trace", "metrics", "trace-out", "strategy", "budget", "beta",
-        "decay-half-life", "decay-epoch-every", "cost", "threads", "shards",
-        "model-out", "batch"}},
-      {"metrics", RunMetrics,
-       {"trace", "n", "seed", "strategy", "budget", "beta", "decay-half-life",
-        "cost", "interval", "json", "trace-out"}},
-      {"telemetry", RunTelemetry,
-       {"trace", "n", "seed", "budget", "shards", "interval", "prom-out",
-        "series-out", "events-out", "json"}},
-      {"inspect", RunInspect, {"model"}},
-      {"predict", RunPredict, {"model", "point"}},
-      {"plan", RunPlan,
-       {"rows", "seed", "train-queries", "risk-k", "sample-rows", "budget",
-        "scale", "json"}},
-      {"maintenance", RunMaintenance,
-       {"udf", "n", "seed", "peaks", "budget", "shards", "step-slots", "json",
-        "scale"}},
-      {"govern", RunGovern,
-       {"models", "tenants", "n", "seed", "budget", "global-budget", "zipf",
-        "max-resident", "quota", "json"}},
-      {"selftest", [](int, char**) { return RunSelfTest(); }, {}},
-  };
   if (argc < 2) return Usage();
   for (const Command& command : kCommands) {
     if (command.name != argv[1]) continue;
-    if (ReportUnknownArgs(argc, argv, command.flags, /*first=*/2)) {
+    std::vector<std::string_view> names;
+    for (const std::string_view flag : command.flags) {
+      names.push_back(FlagName(flag));
+    }
+    if (ReportUnknownArgs(argc, argv, names, /*first=*/2)) {
       Usage();
       return 2;
     }
